@@ -51,9 +51,8 @@ pub use design::{design_metrics, AcceleratorConfig, BreakdownLine, DesignMetrics
 pub use energy::{OpCostModel, OpEnergyEstimate, RunReport};
 pub use error::{AccelError, Result};
 pub use qlayers::{
-    avg_pool_codes, avg_pool_codes_batch_into, avg_pool_codes_into, max_pool_codes,
-    max_pool_codes_batch_into, max_pool_codes_into, pool_out_dims, relu_codes, ShiftConv,
-    ShiftLinear, PRODUCT_FRAC_SHIFT,
+    avg_pool_codes, avg_pool_codes_batch_into, max_pool_codes, max_pool_codes_batch_into,
+    pool_out_dims, relu_codes, ShiftConv, ShiftLinear, PRODUCT_FRAC_SHIFT,
 };
 pub use schedule::{
     schedule_network, DmaModel, LayerCycles, NetworkSchedule, PIPELINE_DEPTH_FP32,

@@ -13,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use mfdfp_core::{calibrate, QuantizedNet};
 use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, Pow2Weight};
 use mfdfp_nn::zoo;
-use mfdfp_tensor::{qgemm, qgemm_into_i8, TensorRng};
+use mfdfp_tensor::{qgemm_fused_into_i8, TensorRng};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -65,11 +65,11 @@ fn bench_qgemm_256(c: &mut Criterion) {
     let w = PackedPow2Matrix::from_weights(n, n, &codes).expect("packed weights");
     // The packed kernel streams the im2col layout (k × ncols); the decode
     // loop gets the same values transposed (ncols × k), its own best case.
-    let xt: Vec<i32> = (0..n * n).map(|_| (next() % 256) as u8 as i8 as i32).collect();
+    let xt: Vec<i8> = (0..n * n).map(|_| (next() % 256) as u8 as i8).collect();
     let mut x_cols = vec![0i32; n * n];
     for c in 0..n {
         for j in 0..n {
-            x_cols[j * n + c] = xt[c * n + j];
+            x_cols[j * n + c] = xt[c * n + j] as i32;
         }
     }
     let bias = vec![0i64; n];
@@ -78,34 +78,27 @@ fn bench_qgemm_256(c: &mut Criterion) {
     let mut group = c.benchmark_group("qgemm_256");
     group.throughput(Throughput::Elements((n * n * n) as u64));
 
-    // The PR-3 hot path: nibbles in, codes out, no decode anywhere
-    // (i32-staged activations, per-call 9-bit operand audit).
-    group.bench_function("packed_shift_only", |b| {
-        b.iter(|| {
-            black_box(qgemm(black_box(&w), &xt, n, &bias, acc_frac, out_frac).expect("qgemm"))
-        })
-    });
-
-    // The PR-5 hot path: the same product streamed from `i8` activation
-    // codes — a quarter of the im2col traffic, no audit scan (structural
-    // 9-bit bound), output into a warm caller buffer, accumulator lanes
-    // in thread scratch. Zero allocations inside the timed body.
-    let xt8: Vec<i8> = xt.iter().map(|&x| x as i8).collect();
+    // The hot path: nibbles in, codes out, no decode anywhere — `i8`
+    // activation codes streamed and widened in register, no operand audit
+    // scan (the bound is structural), output into a warm caller buffer,
+    // accumulator lanes in thread scratch. Zero allocations inside the
+    // timed body.
     let mut out8 = vec![0i8; n * n];
     group.bench_function("packed_shift_only_i8_warm", |b| {
         b.iter(|| {
-            qgemm_into_i8(
+            qgemm_fused_into_i8(
                 black_box(&w),
                 0,
                 n,
-                black_box(&xt8),
+                black_box(&xt),
                 n,
+                1,
                 &bias,
                 acc_frac,
                 out_frac,
                 &mut out8,
             )
-            .expect("qgemm_i8");
+            .expect("qgemm");
             black_box(&mut out8);
         })
     });
@@ -164,10 +157,8 @@ fn bench_qnet_forward(c: &mut Criterion) {
 }
 
 /// PR-8 serving regime: the batch-fused forward (one im2col + one qgemm
-/// per layer per *batch*, element-interleaved columns) against the
-/// retained per-image oracle loop over the same warm workspace, at the
-/// batch sizes the serving batcher actually forms. Both sides produce
-/// bit-identical logits; the delta is pure scheduling.
+/// per layer per *batch*, element-interleaved columns) over a warm
+/// workspace, at the batch sizes the serving batcher actually forms.
 fn bench_batched_forward(c: &mut Criterion) {
     let mut rng = TensorRng::seed_from(13);
     let mut net = zoo::quick_custom(3, 16, [8, 8, 16], 32, 10, &mut rng).expect("topology");
@@ -187,14 +178,6 @@ fn bench_batched_forward(c: &mut Criterion) {
         group.bench_function(&format!("fused_b{bsz}"), |b| {
             b.iter(|| {
                 qnet.logits_batch_into(black_box(slice), bsz, &mut ws, &mut out).expect("fused");
-                black_box(&mut out);
-            })
-        });
-        qnet.logits_batch_per_image_into(slice, bsz, &mut ws, &mut out).expect("warm-up");
-        group.bench_function(&format!("per_image_b{bsz}"), |b| {
-            b.iter(|| {
-                qnet.logits_batch_per_image_into(black_box(slice), bsz, &mut ws, &mut out)
-                    .expect("per-image");
                 black_box(&mut out);
             })
         });

@@ -51,6 +51,11 @@
 //! | `MFDFP_SERVE_BURST` | 1 | open-loop arrivals per tick |
 //! | `SERVE_BENCH_OUT` | unset | write a JSON report to this path |
 //!
+//! The counts (producers, requests, shards, workers, max batch, models,
+//! burst) must be positive; `MFDFP_SERVE_MAX_WAIT_US=0` dispatches
+//! without lingering. A zero count or an unparsable value exits with an
+//! error naming the variable.
+//!
 //! A poison request is a deliberately invalid submission (wrong-size
 //! image in-process; a non-numeric JSON body over HTTP). The harness
 //! asserts every one is rejected with a *typed* error (never a panic,
@@ -70,8 +75,43 @@ use mfdfp_serve::{
 };
 use mfdfp_tensor::TensorRng;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
+/// Parses one environment knob: `default` when unset, the parsed value
+/// otherwise. An unparsable value — or zero, unless `zero_ok` — is an
+/// error naming the variable, never a silent fallback to the default.
+fn parse_knob(
+    key: &str,
+    raw: Option<&str>,
+    default: usize,
+    zero_ok: bool,
+) -> Result<usize, String> {
+    let Some(raw) = raw else { return Ok(default) };
+    match raw.parse::<usize>() {
+        Ok(0) if !zero_ok => Err(format!("{key} must be a positive count, got 0")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{key}={raw:?} is not a non-negative integer: {e}")),
+    }
+}
+
+/// Reads a knob from the environment, exiting with the error if it is
+/// malformed.
+fn env_knob(key: &str, default: usize, zero_ok: bool) -> usize {
+    let raw = match std::env::var(key) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(e) => exit_with(&format!("{key}: {e}")),
+    };
+    parse_knob(key, raw.as_deref(), default, zero_ok).unwrap_or_else(|e| exit_with(&e))
+}
+
+fn exit_with(msg: &str) -> ! {
+    eprintln!("serve_load: {msg}");
+    std::process::exit(2)
+}
+
+/// A count knob (clients, shards, workers, batch bound, requests,
+/// models, burst): must be positive.
+fn env_count(key: &str, default: usize) -> usize {
+    env_knob(key, default, false)
 }
 
 fn env_u64_opt(key: &str) -> Option<u64> {
@@ -529,26 +569,27 @@ fn main() {
             other => panic!("unknown scenario {other:?} (known: recovery)"),
         }
     }
-    let producers = env_usize("MFDFP_SERVE_PRODUCERS", 4);
+    let producers = env_count("MFDFP_SERVE_PRODUCERS", 4);
     let config = ServeConfig {
-        shards: env_usize("MFDFP_SERVE_SHARDS", 1),
-        workers: env_usize("MFDFP_SERVE_WORKERS", 1),
+        shards: env_count("MFDFP_SERVE_SHARDS", 1),
+        workers: env_count("MFDFP_SERVE_WORKERS", 1),
         queue_capacity: (producers * 4).max(64),
-        max_batch: env_usize("MFDFP_SERVE_MAX_BATCH", 8),
-        max_wait: Duration::from_micros(env_usize("MFDFP_SERVE_MAX_WAIT_US", 2000) as u64),
+        max_batch: env_count("MFDFP_SERVE_MAX_BATCH", 8),
+        // Zero is a real setting here: dispatch without lingering.
+        max_wait: Duration::from_micros(env_knob("MFDFP_SERVE_MAX_WAIT_US", 2000, true) as u64),
         model_quota: None,
         ..ServeConfig::default()
     };
     let plan = Plan {
-        requests: env_usize("MFDFP_SERVE_REQUESTS", 64),
-        models: env_usize("MFDFP_SERVE_MODELS", 1),
+        requests: env_count("MFDFP_SERVE_REQUESTS", 64),
+        models: env_count("MFDFP_SERVE_MODELS", 1),
         deadline: env_u64_opt("MFDFP_SERVE_DEADLINE_US").map(Duration::from_micros),
         poison_pct: std::env::var("MFDFP_SERVE_POISON_PCT")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(0),
         pacing: cli.open_loop_rps.map(|rps| {
-            let burst = env_usize("MFDFP_SERVE_BURST", 1);
+            let burst = env_count("MFDFP_SERVE_BURST", 1);
             // Each producer carries rps/producers; a tick fires `burst`.
             let tick_ns = 1_000_000_000u64 * burst as u64 * producers as u64 / rps.max(1);
             (Duration::from_nanos(tick_ns), burst)
@@ -746,5 +787,22 @@ fn main() {
         let events = mfdfp_obs::dump();
         std::fs::write(&path, mfdfp_obs::chrome_trace_json(&events)).expect("write trace");
         println!("wrote {path} ({} events; load at https://ui.perfetto.dev)", events.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn knobs_honour_zero_wait_and_reject_bad_counts() {
+        assert_eq!(parse_knob("MFDFP_SERVE_MAX_WAIT_US", None, 2000, true), Ok(2000));
+        assert_eq!(parse_knob("MFDFP_SERVE_MAX_WAIT_US", Some("0"), 2000, true), Ok(0));
+        assert_eq!(parse_knob("MFDFP_SERVE_MAX_WAIT_US", Some("150"), 2000, true), Ok(150));
+        assert_eq!(parse_knob("MFDFP_SERVE_WORKERS", Some("3"), 1, false), Ok(3));
+        for (raw, zero_ok) in [("0", false), ("", false), ("four", false), ("-1", true)] {
+            let err = parse_knob("MFDFP_SERVE_WORKERS", Some(raw), 1, zero_ok).unwrap_err();
+            assert!(err.contains("MFDFP_SERVE_WORKERS"), "{raw:?}: {err}");
+        }
     }
 }

@@ -35,7 +35,7 @@ use std::hint::black_box;
 use mfdfp_core::{calibrate, QuantizedNet};
 use mfdfp_nn::zoo;
 use mfdfp_serve::ServedModel;
-use mfdfp_tensor::{qgemm_into_i8, Tensor, TensorRng};
+use mfdfp_tensor::{qgemm_fused_into_i8, Tensor, TensorRng};
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -141,15 +141,16 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
     let bias = vec![0i64; 32];
     let mut out = vec![0i8; 32 * 32];
     // Warm-up: grows the thread's accumulator-lane scratch.
-    qgemm_into_i8(&w, 0, 32, &xt, 32, &bias, 13, 4, &mut out).unwrap();
+    qgemm_fused_into_i8(&w, 0, 32, &xt, 32, 1, &bias, 13, 4, &mut out).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
-            qgemm_into_i8(
+            qgemm_fused_into_i8(
                 black_box(&w),
                 0,
                 32,
                 black_box(&xt),
                 32,
+                1,
                 &bias,
                 13,
                 4,
@@ -158,7 +159,7 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
             .unwrap();
         }
     });
-    assert_eq!(allocs, 0, "warmed qgemm_into_i8 must not touch the heap");
+    assert_eq!(allocs, 0, "warmed qgemm_fused_into_i8 must not touch the heap");
 }
 
 #[test]

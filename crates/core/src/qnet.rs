@@ -9,10 +9,13 @@
 //! accelerator bit-for-bit.
 //!
 //! Weights stay in their packed 4-bit nibble form from construction to
-//! inference: [`QuantizedNet::forward_codes`] dispatches the shift-only
-//! packed `qgemm` kernel, while [`QuantizedNet::forward_codes_reference`]
-//! keeps the original decode-based adder-tree datapath as the
-//! bit-exactness oracle (the two are property-tested identical).
+//! inference. Every packed entry — one image ([`QuantizedNet::forward_codes`])
+//! or a batch ([`QuantizedNet::logits_batch_into`]) — runs one layer loop
+//! that fuses the batch into each layer's shift-only `qgemm` call (a
+//! single image is the batch of one), while
+//! [`QuantizedNet::forward_codes_reference`] keeps the original
+//! decode-based adder-tree datapath as the bit-exactness oracle (the two
+//! are property-tested identical).
 //!
 //! Like the hardware it models, the packed forward path has **no dynamic
 //! memory**: activations ping-pong between two pre-sized buffers of a
@@ -24,9 +27,8 @@
 //! as thin wrappers over the calling thread's persistent workspace.
 
 use mfdfp_accel::qlayers::{
-    avg_pool_codes, avg_pool_codes_batch_into, avg_pool_codes_into, max_pool_codes,
-    max_pool_codes_batch_into, max_pool_codes_into, pool_out_dims, relu_codes, ShiftConv,
-    ShiftLinear, PRODUCT_FRAC_SHIFT,
+    avg_pool_codes, avg_pool_codes_batch_into, max_pool_codes, max_pool_codes_batch_into,
+    pool_out_dims, relu_codes, ShiftConv, ShiftLinear, PRODUCT_FRAC_SHIFT,
 };
 use mfdfp_dfp::{realign, AdderTree, DfpFormat, PackedPow2Matrix};
 use mfdfp_nn::{Layer, Network};
@@ -292,15 +294,16 @@ impl QuantizedNet {
     ///
     /// Propagates datapath faults (overflow audits, geometry mismatches).
     pub fn forward_codes(&self, image: &Tensor) -> Result<Vec<i8>> {
-        self.forward_codes_from(image.as_slice())
+        with_thread_workspace(|ws| Ok(self.forward_codes_with(image, ws)?.to_vec()))
     }
 
     /// The allocation-free forward: runs the packed shift-only datapath
-    /// entirely inside `ws`, returning a view of the logit codes (valid
-    /// until the workspace's next use). With a workspace warmed for this
-    /// network — one prior call, or [`QuantizedNet::plan`] up front —
-    /// this performs **zero heap allocations**, matching the fixed-buffer
-    /// Figure 2(a) datapath buffer-for-buffer.
+    /// (the batch-fused layer loop at batch 1) entirely inside `ws`,
+    /// returning a view of the logit codes (valid until the workspace's
+    /// next use). With a workspace warmed for this network — one prior
+    /// call, or [`QuantizedNet::plan`] up front — this performs **zero
+    /// heap allocations**, matching the fixed-buffer Figure 2(a) datapath
+    /// buffer-for-buffer.
     ///
     /// # Errors
     ///
@@ -310,7 +313,7 @@ impl QuantizedNet {
         image: &Tensor,
         ws: &'w mut Workspace,
     ) -> Result<&'w [i8]> {
-        let len = self.forward_packed(image.as_slice(), ws)?;
+        let len = self.forward_packed_batch(image.as_slice(), 1, ws)?;
         Ok(ws.codes(len))
     }
 
@@ -357,88 +360,13 @@ impl QuantizedNet {
         Ok(codes)
     }
 
-    fn forward_codes_from(&self, image: &[f32]) -> Result<Vec<i8>> {
-        with_thread_workspace(|ws| {
-            let len = self.forward_packed(image, ws)?;
-            Ok(ws.codes(len).to_vec())
-        })
-    }
-
-    /// The packed-path layer loop: activations ping-pong between the
-    /// workspace's two pre-sized buffers, convolutions stage their `i8`
-    /// im2col columns in the same arena, and every layer writes through
-    /// its `*_into` entry — no allocation anywhere once the workspace is
-    /// warm. Returns the final code count; the codes sit in the
-    /// workspace's front activation buffer ([`Workspace::codes`]).
-    fn forward_packed(&self, image: &[f32], ws: &mut Workspace) -> Result<usize> {
-        let (mut cur, mut nxt) = ws.take_act();
-        let result = self.forward_packed_layers(image, ws, &mut cur, &mut nxt);
-        ws.restore_act(cur, nxt);
-        result
-    }
-
-    fn forward_packed_layers(
-        &self,
-        image: &[f32],
-        ws: &mut Workspace,
-        cur: &mut AlignedVec<i8>,
-        nxt: &mut AlignedVec<i8>,
-    ) -> Result<usize> {
-        cur.resize(image.len(), 0);
-        for (c, &x) in cur.iter_mut().zip(image) {
-            *c = self.input_format.quantize(x) as i8;
-        }
-        for (idx, layer) in self.layers.iter().enumerate() {
-            // Flight-recorder: one span per layer, label = layer kind,
-            // arg = layer index (a no-op without the `obs` feature).
-            match layer {
-                QLayer::Conv(c) => {
-                    let _span = mfdfp_obs::span!("qnet.conv", idx as u64);
-                    nxt.resize(c.out_len(), 0);
-                    c.run_into(cur, ws, nxt).map_err(CoreError::Accel)?;
-                    std::mem::swap(cur, nxt);
-                }
-                QLayer::Linear(l) => {
-                    let _span = mfdfp_obs::span!("qnet.linear", idx as u64);
-                    nxt.resize(l.out_features, 0);
-                    l.run_into(cur, nxt).map_err(CoreError::Accel)?;
-                    std::mem::swap(cur, nxt);
-                }
-                QLayer::Pool { kind, channels, in_h, in_w, window, stride } => {
-                    let _span = mfdfp_obs::span!("qnet.pool", idx as u64);
-                    let (oh, ow) =
-                        pool_out_dims(*in_h, *in_w, *window, *stride).map_err(CoreError::Accel)?;
-                    nxt.resize(channels * oh * ow, 0);
-                    match kind {
-                        PoolKind::Max => {
-                            max_pool_codes_into(cur, *channels, *in_h, *in_w, *window, *stride, nxt)
-                        }
-                        PoolKind::Avg => {
-                            avg_pool_codes_into(cur, *channels, *in_h, *in_w, *window, *stride, nxt)
-                        }
-                    }
-                    .map_err(CoreError::Accel)?;
-                    std::mem::swap(cur, nxt);
-                }
-                QLayer::Relu => {
-                    let _span = mfdfp_obs::span!("qnet.relu", idx as u64);
-                    relu_codes(cur);
-                }
-            }
-        }
-        Ok(cur.len())
-    }
-
     /// Integer-only inference over an `N×C×H×W` batch: one `Vec` of logit
     /// codes per image, bit-identical to calling
     /// [`QuantizedNet::forward_codes`] image by image.
     ///
-    /// Since the batch-fused path landed this runs the whole batch as
-    /// **one** im2col gather and **one** packed shift-MAC pass per layer
-    /// (per group) — see [`QuantizedNet::logits_batch_into`] for the
-    /// fusion contract. The per-image loop survives as
-    /// [`QuantizedNet::forward_codes_batch_per_image`], the equivalence
-    /// oracle the fused path is property-tested against.
+    /// The whole batch runs as **one** im2col gather and **one** packed
+    /// shift-MAC pass per layer (per group) — see
+    /// [`QuantizedNet::logits_batch_into`] for the fusion contract.
     ///
     /// # Errors
     ///
@@ -455,27 +383,6 @@ impl QuantizedNet {
         })
     }
 
-    /// The per-image batch loop the fused path replaced, kept alive as
-    /// the equivalence oracle: identical to calling
-    /// [`QuantizedNet::forward_codes`] image by image (with the
-    /// `parallel` feature, images fan out across OS threads — each
-    /// image's datapath is untouched, so results stay bit-identical to
-    /// the serial loop, and — by the fusion contract — to
-    /// [`QuantizedNet::forward_codes_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults from any image (the first, in batch
-    /// order, wins).
-    pub fn forward_codes_batch_per_image(&self, batch: &Tensor) -> Result<Vec<Vec<i8>>> {
-        let n = batch.shape().dim(0);
-        let per_image: usize = batch.shape().dims()[1..].iter().product();
-        let data = batch.as_slice();
-        let images: Vec<&[f32]> =
-            (0..n).map(|s| &data[s * per_image..(s + 1) * per_image]).collect();
-        self.run_images(&images)
-    }
-
     /// The batch-fused packed forward: quantizes all `n` images into one
     /// element-interleaved activation buffer (element `e` of image `b` at
     /// `e·n + b`), then runs the layer loop **once**, each conv/linear
@@ -484,11 +391,13 @@ impl QuantizedNet {
     /// (`ShiftConv::run_batch_into` / `ShiftLinear::run_batch_into`).
     /// Returns the per-image logit-code count; the `len·n` interleaved
     /// codes sit in the workspace's front buffer ([`Workspace::codes`]).
+    /// At `n = 1` the interleaved layout is the plain per-image layout.
     ///
-    /// Row-banded parallelism now sees the whole layer-batch product, so
-    /// under the `parallel` feature the pool splits per-layer work — the
-    /// old per-image fan-out lives on only in the `*_per_image` oracle
-    /// entries.
+    /// Activations ping-pong between the workspace's two pre-sized
+    /// buffers and convolutions stage their `i8` im2col columns in the
+    /// same arena — no allocation anywhere once the workspace is warm.
+    /// Row-banded parallelism sees the whole layer-batch product, so under
+    /// the `parallel` feature the pool splits per-layer work.
     fn forward_packed_batch(&self, data: &[f32], n: usize, ws: &mut Workspace) -> Result<usize> {
         let (mut cur, mut nxt) = ws.take_act();
         let result = self.forward_packed_batch_layers(data, n, ws, &mut cur, &mut nxt);
@@ -506,14 +415,17 @@ impl QuantizedNet {
     ) -> Result<usize> {
         let per_image = data.len() / n;
         cur.resize(per_image * n, 0);
-        for (b, image) in data.chunks_exact(per_image).enumerate() {
+        // An empty image quantizes to nothing and fails the first
+        // layer's length check.
+        for (b, image) in data.chunks(per_image.max(1)).enumerate() {
             for (e, &x) in image.iter().enumerate() {
                 cur[e * n + b] = self.input_format.quantize(x) as i8;
             }
         }
         for (idx, layer) in self.layers.iter().enumerate() {
-            // Same flight-recorder layer spans as the per-image loop —
-            // one span now covers the whole batch's layer.
+            // Flight-recorder: one span per layer covering the whole
+            // batch, label = layer kind, arg = layer index (a no-op
+            // without the `obs` feature).
             match layer {
                 QLayer::Conv(c) => {
                     let _span = mfdfp_obs::span!("qnet.conv", idx as u64);
@@ -552,48 +464,6 @@ impl QuantizedNet {
         Ok(cur.len() / n)
     }
 
-    #[cfg(not(feature = "parallel"))]
-    fn run_images(&self, images: &[&[f32]]) -> Result<Vec<Vec<i8>>> {
-        images.iter().map(|img| self.forward_codes_from(img)).collect()
-    }
-
-    /// Batch-parallel dispatch on the persistent `mfdfp-rt` pool:
-    /// contiguous chunks of images per task, results stitched back in
-    /// batch order (chunk boundaries depend only on the pool width, so
-    /// the output is a pure function of `MFDFP_THREADS`). Falls back to
-    /// the serial loop when only one thread is available or the batch is
-    /// a single image. Task panics propagate through the pool scope,
-    /// matching the scoped-thread behaviour this replaced.
-    #[cfg(feature = "parallel")]
-    fn run_images(&self, images: &[&[f32]]) -> Result<Vec<Vec<i8>>> {
-        // Single-image batches never dispatch — bail before touching the
-        // global pool so a process doing only one-at-a-time inference
-        // never spawns workers (the pool stays truly lazy).
-        if images.len() < 2 {
-            return images.iter().map(|img| self.forward_codes_from(img)).collect();
-        }
-        let pool = mfdfp_rt::global();
-        let workers = pool.threads().min(images.len());
-        if workers < 2 {
-            return images.iter().map(|img| self.forward_codes_from(img)).collect();
-        }
-        let chunk = images.len().div_ceil(workers);
-        let mut chunk_results: Vec<Option<Result<Vec<Vec<i8>>>>> =
-            images.chunks(chunk).map(|_| None).collect();
-        pool.scope(|scope| {
-            for (slot, imgs) in chunk_results.iter_mut().zip(images.chunks(chunk)) {
-                scope.spawn(move || {
-                    *slot = Some(imgs.iter().map(|img| self.forward_codes_from(img)).collect());
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(images.len());
-        for r in chunk_results {
-            out.extend(r.expect("pool scope completed every chunk")?);
-        }
-        Ok(out)
-    }
-
     /// Dequantized logits for one image.
     ///
     /// # Errors
@@ -630,10 +500,9 @@ impl QuantizedNet {
     ///
     /// This is the **batch-fused** path: the whole batch runs as one
     /// interleaved layer loop — one im2col gather and one packed
-    /// shift-MAC pass per layer per group — bit-identical to the
-    /// per-image loop ([`QuantizedNet::logits_batch_per_image_into`], the
-    /// retained oracle) because the kernel's per-output accumulation
-    /// order does not depend on the column count
+    /// shift-MAC pass per layer per group — bit-identical to `n`
+    /// single-image [`QuantizedNet::logits`] calls because the kernel's
+    /// per-output accumulation order does not depend on the column count
     /// ([`mfdfp_tensor::qgemm_fused_into_i8`]). Under the `parallel`
     /// feature, row-banded parallelism splits each layer's fused product
     /// across the pool when the whole batch's MACs cross the dispatch
@@ -667,7 +536,7 @@ impl QuantizedNet {
         Ok(())
     }
 
-    /// Shared shape validation of the flat batched-logits entries.
+    /// Shape validation of the flat batched-logits entry.
     fn check_batch_buffers(&self, data: &[f32], n: usize, out_len: usize) -> Result<()> {
         if n == 0 {
             if data.is_empty() && out_len == 0 {
@@ -686,98 +555,6 @@ impl QuantizedNet {
                 "logit buffer holds {out_len} values, batch needs {}",
                 n * self.classes
             )));
-        }
-        Ok(())
-    }
-
-    /// The per-image batched-logits loop the fused path replaced, kept
-    /// alive as the equivalence oracle (bit-identical to
-    /// [`QuantizedNet::logits_batch_into`] by the fusion contract).
-    ///
-    /// With the `parallel` feature and `n ≥ 2`, image chunks fan out
-    /// across the persistent pool: the first chunk runs inline on the
-    /// caller with the passed (warmed) `ws`, the rest on pool workers in
-    /// their own thread-resident workspaces (bit-identical: chunk
-    /// boundaries depend only on the pool width, each image's datapath is
-    /// untouched). The pool dispatch itself costs O(threads) small
-    /// allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadConfig`] if `data` does not split into `n`
-    /// equal images or `out` is not `n × classes`; propagates datapath
-    /// faults from any image (first in chunk-claim order wins).
-    pub fn logits_batch_per_image_into(
-        &self,
-        data: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) -> Result<()> {
-        self.check_batch_buffers(data, n, out.len())?;
-        if n == 0 {
-            return Ok(());
-        }
-        let per_image = data.len() / n;
-        #[cfg(feature = "parallel")]
-        {
-            let pool = mfdfp_rt::global();
-            let workers = pool.threads().min(n);
-            if n >= 2 && workers >= 2 {
-                // Chunk boundaries are a pure function of the pool width,
-                // exactly as in the all-spawned schedule — only *where*
-                // each chunk runs changes, never what it computes.
-                let chunk = n.div_ceil(workers);
-                let error = std::sync::OnceLock::new();
-                let (first, rest) = out.split_at_mut(chunk * self.classes);
-                pool.scope(|scope| {
-                    for (ci, out_chunk) in rest.chunks_mut(chunk * self.classes).enumerate() {
-                        let error = &error;
-                        scope.spawn(move || {
-                            let i0 = (ci + 1) * chunk;
-                            let result = with_thread_workspace(|tws| {
-                                self.logits_rows_into(data, i0, per_image, tws, out_chunk)
-                            });
-                            if let Err(e) = result {
-                                let _ = error.set(e);
-                            }
-                        });
-                    }
-                    // The caller's chunk runs inline on the caller's
-                    // (already warmed) workspace while the pool works the
-                    // rest; spawned chunks use their worker's persistent
-                    // thread workspace.
-                    if let Err(e) = self.logits_rows_into(data, 0, per_image, ws, first) {
-                        let _ = error.set(e);
-                    }
-                });
-                return match error.into_inner() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
-            }
-        }
-        self.logits_rows_into(data, 0, per_image, ws, out)
-    }
-
-    /// Serial inner loop shared by the serial path and each parallel
-    /// chunk: forwards images `i0..` into consecutive `classes`-wide rows
-    /// of `out` (whose length fixes how many images the chunk covers).
-    fn logits_rows_into(
-        &self,
-        data: &[f32],
-        i0: usize,
-        per_image: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) -> Result<()> {
-        for (j, row) in out.chunks_mut(self.classes).enumerate() {
-            let img = &data[(i0 + j) * per_image..(i0 + j + 1) * per_image];
-            let len = self.forward_packed(img, ws)?;
-            assert_eq!(len, self.classes, "logit count mismatch");
-            for (o, &c) in row.iter_mut().zip(ws.codes(len)) {
-                *o = self.output_format.dequantize(c as i32);
-            }
         }
         Ok(())
     }

@@ -178,8 +178,8 @@ proptest! {
     }
 
     /// Ragged-batch coverage for the batch-fused forward on the MLP:
-    /// every batch size 1..=9 must match the retained per-image oracle
-    /// loop code-for-code (the serving batcher produces exactly these
+    /// every batch size 1..=9 must match the per-image decode-reference
+    /// oracle code-for-code (the serving batcher produces exactly these
     /// ragged tails when traffic ebbs).
     #[test]
     fn fused_mlp_batch_matches_per_image_oracle(
@@ -194,19 +194,20 @@ proptest! {
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let mut rng = TensorRng::seed_from(seed + 1);
         let batch = rng.gaussian([n, 4], 0.0, 0.5);
-        prop_assert_eq!(
-            q.forward_codes_batch(&batch).unwrap(),
-            q.forward_codes_batch_per_image(&batch).unwrap()
-        );
-        // The flat logits entries agree bit-for-bit too, and a plan
-        // sized for max_batch 9 serves every smaller batch warm.
+        let oracle: Vec<Vec<i8>> = (0..n)
+            .map(|s| q.forward_codes_reference(&batch.index_axis0(s)).unwrap())
+            .collect();
+        prop_assert_eq!(q.forward_codes_batch(&batch).unwrap(), oracle.clone());
+        // The flat logits entry agrees bit-for-bit with the dequantized
+        // oracle codes, and a plan sized for max_batch 9 serves every
+        // smaller batch warm.
         let wplan = q.plan_for_batch(9);
         let mut ws = wplan.workspace();
         let mut fused = vec![0.0f32; n * q.classes()];
-        let mut oracle = vec![0.0f32; n * q.classes()];
         q.logits_batch_into(batch.as_slice(), n, &mut ws, &mut fused).unwrap();
-        q.logits_batch_per_image_into(batch.as_slice(), n, &mut ws, &mut oracle).unwrap();
-        for (a, b) in fused.iter().zip(&oracle) {
+        let fmt = q.output_format();
+        let want = oracle.iter().flatten().map(|&c| fmt.dequantize(c as i32));
+        for (a, b) in fused.iter().zip(want) {
             prop_assert!(a.to_bits() == b.to_bits());
         }
         prop_assert!(ws.is_warm_for(&wplan));

@@ -26,9 +26,9 @@ pub struct OpCounters {
     /// (the Figure 2(a) bit-exactness oracle) instead of the packed
     /// kernel.
     pub decode_rows: u64,
-    /// Overflow audits that **tripped** (operand outside its 9-bit
-    /// register or accumulator outside 32 bits) — each is a rejected
-    /// kernel call surfacing as `QuantizedOverflow`.
+    /// Overflow audits that **tripped** (a packed-kernel accumulator
+    /// outside its 32-bit register) — each is a rejected kernel call
+    /// surfacing as `QuantizedOverflow`.
     pub overflow_audits: u64,
 }
 

@@ -51,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::HttpConfig;
 use crate::error::{Result, ServeError};
+use crate::metrics::json_escape;
 use crate::server::{Priority, Server, SubmitOptions};
 
 /// A fully parsed HTTP/1.1 request.
@@ -325,23 +326,6 @@ pub fn format_f32_array(values: &[f32]) -> String {
         out.push_str(&format!("{v:?}"));
     }
     out.push(']');
-    out
-}
-
-/// Minimal JSON string escaping for error messages.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

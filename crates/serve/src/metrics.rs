@@ -661,9 +661,10 @@ pub struct MetricsSnapshot {
     pub pool_idle_parks: u64,
 }
 
-/// Minimal JSON string escaping for model names (labels under the
-/// caller's control, but the exporter stays correct for any name).
-/// `pub(crate)` so the health surface escapes names the same way.
+/// Minimal JSON string escaping — the one escaper of the serving tier:
+/// model names here (labels under the caller's control, but the exporter
+/// stays correct for any name), the health surface, and the HTTP
+/// front-end's error bodies and model listings.
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -1083,9 +1084,11 @@ mod tests {
     #[test]
     fn json_escapes_model_names() {
         let m = ServerMetrics::new(1);
-        m.model("we\"ird\\name");
+        m.model("we\"ird\\name\n\u{1}");
         let json = m.snapshot(0).to_json();
-        assert!(json.contains("\"we\\\"ird\\\\name\":{"), "{json}");
+        // Quote and backslash take their short escapes, every other
+        // control character (newline included) its `\u00XX` form.
+        assert!(json.contains(r#""we\"ird\\name\u000a\u0001":{"#), "{json}");
     }
 
     #[test]

@@ -59,11 +59,7 @@ pub use ops::conv::{
 pub use ops::matmul::gemm_parallel;
 pub use ops::matmul::{gemm, gemm_serial, matvec, Transpose};
 pub use ops::pool::{pool_backward, pool_forward, PoolGeometry, PoolKind};
-#[cfg(feature = "parallel")]
-pub use ops::qgemm::qgemm_parallel;
-pub use ops::qgemm::{
-    qgemm, qgemm_fused_into_i8, qgemm_i8, qgemm_into, qgemm_into_i8, qgemm_serial,
-};
+pub use ops::qgemm::qgemm_fused_into_i8;
 pub use ops::reduce::{
     argmax_rows, log_softmax, softmax, softmax_with_temperature, sum_axis0, topk_rows,
 };

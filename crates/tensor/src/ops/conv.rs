@@ -210,9 +210,11 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
 /// column matrix. With `batch = 1` this degenerates to the per-image
 /// im2col layout exactly.
 ///
-/// The interleave also pays in the gather itself: each (synapse, pixel)
-/// source decides the padding test **once** and then moves `batch`
-/// contiguous bytes, so bounds logic is amortized across the batch.
+/// The interleave also pays in the gather itself: the padding test is
+/// decided once per (synapse, output row), and the row's in-image pixels
+/// then move as one contiguous run when the stride is 1 (`batch`
+/// contiguous bytes per pixel otherwise), so bounds logic is amortized
+/// across the row and the batch alike.
 ///
 /// `grp` selects one channel group of a grouped convolution (`0` for the
 /// dense case); `xt` must hold exactly one group's column matrix.
@@ -252,48 +254,45 @@ pub fn im2col_batched_i8(
         return Err(TensorError::DataLength { expected: expect_out, actual: xt.len() });
     }
     let c_lo = grp * group_in;
-    let k = g.kernel;
+    let (k, stride, pad) = (g.kernel, g.stride, g.pad);
+    let row_len = ow * batch;
     let mut si = 0usize;
     for c in c_lo..c_lo + group_in {
         for ky in 0..k {
             for kx in 0..k {
-                let row = &mut xt[si * npix * batch..(si + 1) * npix * batch];
-                let mut pix = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                // Output columns whose source lies inside the image:
+                // `ix = ox·stride + kx − pad ∈ [0, in_w)` for `ox_lo ≤ ox < ox_hi`.
+                let ox_lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
+                let ox_hi = (g.in_w + pad).saturating_sub(kx).div_ceil(stride).clamp(ox_lo, ow);
+                let rows = &mut xt[si * npix * batch..(si + 1) * npix * batch];
+                for (oy, dst) in rows.chunks_exact_mut(row_len).enumerate() {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
                     if iy < 0 || iy >= g.in_h as isize {
-                        // A padded source row zeroes `ow` whole pixel
-                        // groups in one pass.
-                        row[pix * batch..(pix + ow) * batch].fill(0);
-                        pix += ow;
+                        dst.fill(0);
                         continue;
                     }
-                    let iy = iy as usize;
-                    if batch == 1 {
-                        // Degenerate per-image layout: direct element
-                        // stores — a variable-length 1-byte memcpy per
-                        // pixel costs more than the move itself.
-                        for ox in 0..ow {
-                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                            row[pix] = if ix < 0 || ix >= g.in_w as isize {
-                                0
-                            } else {
-                                input[(c * g.in_h + iy) * g.in_w + ix as usize]
-                            };
-                            pix += 1;
-                        }
+                    let src = &input[(c * g.in_h + iy as usize) * g.in_w * batch..];
+                    dst[..ox_lo * batch].fill(0);
+                    dst[ox_hi * batch..].fill(0);
+                    if ox_hi == ox_lo {
                         continue;
                     }
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        let dst = &mut row[pix * batch..(pix + 1) * batch];
-                        if ix < 0 || ix >= g.in_w as isize {
-                            dst.fill(0);
-                        } else {
-                            let src = ((c * g.in_h + iy) * g.in_w + ix as usize) * batch;
-                            dst.copy_from_slice(&input[src..src + batch]);
+                    let ix_lo = ox_lo * stride + kx - pad;
+                    if stride == 1 {
+                        // A stride-1 row's in-image pixels are one
+                        // contiguous source run, `batch` bytes per pixel.
+                        let len = (ox_hi - ox_lo) * batch;
+                        dst[ox_lo * batch..ox_hi * batch]
+                            .copy_from_slice(&src[ix_lo * batch..ix_lo * batch + len]);
+                    } else {
+                        for (i, d) in
+                            dst[ox_lo * batch..ox_hi * batch].chunks_exact_mut(batch).enumerate()
+                        {
+                            let ix = ix_lo + i * stride;
+                            for (d, &v) in d.iter_mut().zip(&src[ix * batch..(ix + 1) * batch]) {
+                                *d = v;
+                            }
                         }
-                        pix += 1;
                     }
                 }
                 si += 1;

@@ -31,109 +31,75 @@
 //! to the decode-based reference for every input (property-tested in
 //! `crates/accel/tests/qgemm_equivalence.rs`).
 //!
-//! Two activation widths enter the same kernel: the historical `i32`
-//! staging entries ([`qgemm_into`]/[`qgemm`]) and the `i8` streaming
-//! entries ([`qgemm_into_i8`]/[`qgemm_i8`]) that take raw activation
-//! codes — a quarter of the im2col bandwidth, widened in register, with
-//! the operand audit made *structural* (an 8-bit code cannot exceed the
-//! 9-bit bound, so the per-call scan disappears). The kernel's
-//! accumulator lanes live in per-thread scratch (`with_acc_lanes` in the
-//! [`crate::workspace`] module), so a warmed thread — e.g. a persistent
-//! `mfdfp-rt` pool worker — runs the kernel with zero heap allocations.
+//! Activations enter as raw 8-bit codes in the im2col layout and are
+//! widened in register; the kernel's accumulator lanes live in per-thread
+//! scratch (`with_acc_lanes` in the [`crate::workspace`] module), so a
+//! warmed thread — e.g. a persistent `mfdfp-rt` pool worker — runs the
+//! kernel with zero heap allocations. [`qgemm_fused_into_i8`] is the one
+//! entry: a single image is the fused batch of one.
 //!
-//! Audits: `i32` operands are checked against the 9-bit bound that keeps
-//! every shifted product inside the 16-bit product register, and each
-//! routed accumulator is checked against the 32-bit accumulator register —
-//! [`TensorError::QuantizedOverflow`] mirrors the decode path's
-//! per-level overflow audits at kernel granularity. The bit-identical
-//! contract is over **successful** results: the decode path audits the
-//! 32-bit accumulator after every 16-product chunk, this kernel audits
-//! the final per-output sum, so a layer whose same-sign partials
-//! transiently exceed 2^31 before cancelling back (needs > 2^16 synapses
-//! of worst-case magnitude — far beyond any layer here, whose bound the
-//! `Accumulator` docs derive as ≤ 2^26) can error on one path and route
-//! on the other.
+//! Audits, derived for the `i8` operand width:
+//!
+//! * **Operands — structural.** Every code satisfies `|x| ≤ 128` and every
+//!   shift amount `sh ≤ 7`, so each product obeys `|p| ≤ 2^14`: it fits
+//!   the 16-bit product register (and the `i16` lanes the MAC body
+//!   stages it in) by construction, and no operand scan runs.
+//! * **Partial sums.** Chunks of `ACC32_CHUNK` = `2^14` products sum to
+//!   at most `2^28` in magnitude, inside the `i32` partial lanes, before
+//!   each chunk flushes to the 64-bit accumulator.
+//! * **Accumulator.** Each routed output (bias included) is checked
+//!   against the 32-bit accumulator register;
+//!   [`TensorError::QuantizedOverflow`] mirrors the decode path's
+//!   per-level overflow audits at kernel granularity.
+//!
+//! The bit-identical contract is over **successful** results: the decode
+//! path audits the 32-bit accumulator after every 16-product chunk, this
+//! kernel audits the final per-output sum, so a layer whose same-sign
+//! partials transiently exceed 2^31 before cancelling back (needs > 2^17
+//! synapses of worst-case magnitude — far beyond any layer here, whose
+//! bound the `Accumulator` docs derive as ≤ 2^26) can error on one path
+//! and route on the other.
 
 use mfdfp_dfp::{fits_in_bits, realign, saturate, PackedPow2Matrix, ACCUMULATOR_BITS};
 
 use crate::error::{Result, TensorError};
 use crate::workspace::with_acc_lanes;
 
-/// Activation element the band kernel streams: widened to `i32` in
-/// register, one load per MAC. Sealed — the two implementations are the
-/// kernel's two entry widths.
-///
-/// * `i32` — the historical im2col staging type; operands must pass the
-///   9-bit audit before entering the kernel.
-/// * `i8` — raw activation codes. Every `i8` is structurally inside the
-///   9-bit operand bound, so this path has **no audit scan at all** and
-///   moves a quarter of the bytes.
-pub trait QgemmAct: Copy + Send + Sync + sealed::Sealed {
-    /// One synapse's contribution across a whole activation row:
-    /// `acc[j] += ((x[j] << sh) ^ m) − m` — the negate-by-mask MAC body,
-    /// staged at whatever intermediate width suits the element type.
-    fn accumulate_row(acc: &mut [i32], xrow: &[Self], sh: u32, m: i32);
-}
-
-mod sealed {
-    /// Seals [`super::QgemmAct`] to the two kernel widths.
-    pub trait Sealed {}
-    impl Sealed for i32 {}
-    impl Sealed for i8 {}
-}
-
 /// Row width below which the multiversioned SIMD body is not worth its
-/// call overhead: narrow rows — above all `ncols = 1`, every
+/// call overhead: narrow rows — above all `ncols = 1`, every single-image
 /// `ShiftLinear` — take the always-inlined scalar body instead, so the
 /// feature check and the non-inlinable `#[target_feature]` call are
 /// hoisted out of the per-synapse path exactly where they cannot pay.
 const SIMD_MIN_ROW: usize = 16;
 
-impl QgemmAct for i32 {
-    #[inline]
-    fn accumulate_row(acc: &mut [i32], xrow: &[Self], sh: u32, m: i32) {
-        #[cfg(target_arch = "x86_64")]
-        if xrow.len() >= SIMD_MIN_ROW && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is runtime-checked just above
-            // (the detection result is cached by std, so this is a load
-            // and branch, not a CPUID, on the hot path).
-            unsafe { accumulate_row_i32_avx2(acc, xrow, sh, m) };
-            return;
-        }
-        for (a, &x) in acc.iter_mut().zip(xrow) {
-            *a += ((x << sh) ^ m) - m;
-        }
+/// One synapse's contribution across a whole activation row:
+/// `acc[j] += ((x[j] << sh) ^ m) − m` — the negate-by-mask MAC body. The
+/// shifted product of an 8-bit code fits 16 bits (`|x| ≤ 128`, `sh ≤ 7`
+/// ⇒ `|x << sh| ≤ 2^14`), so the shift and the negate-by-mask run at
+/// `i16` width and only the final accumulate widens to 32 bits — exact at
+/// every step, with twice the SIMD lanes of an `i32` body.
+#[inline]
+fn accumulate_row(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
+    #[cfg(target_arch = "x86_64")]
+    if xrow.len() >= SIMD_MIN_ROW && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement is runtime-checked just above
+        // (the detection result is cached by std, so this is a load and
+        // branch, not a CPUID, on the hot path).
+        unsafe { accumulate_row_avx2(acc, xrow, sh, m) };
+        return;
+    }
+    let m16 = m as i16;
+    for (a, &x) in acc.iter_mut().zip(xrow) {
+        let p = (((x as i16) << sh) ^ m16) - m16;
+        *a += p as i32;
     }
 }
 
-impl QgemmAct for i8 {
-    /// The shifted product of an 8-bit code fits 16 bits (`|x| ≤ 128`,
-    /// `sh ≤ 7` ⇒ `|x << sh| ≤ 2^14` — the same bound the 9-bit operand
-    /// audit enforces on the `i32` path), so the shift and the
-    /// negate-by-mask run at `i16` width and only the final accumulate
-    /// widens to 32 bits. Exact at every step, hence bit-identical to
-    /// the `i32` body — and twice the SIMD lanes for the hot ops.
-    #[inline]
-    fn accumulate_row(acc: &mut [i32], xrow: &[Self], sh: u32, m: i32) {
-        #[cfg(target_arch = "x86_64")]
-        if xrow.len() >= SIMD_MIN_ROW && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is runtime-checked just above.
-            unsafe { accumulate_row_i8_avx2(acc, xrow, sh, m) };
-            return;
-        }
-        let m16 = m as i16;
-        for (a, &x) in acc.iter_mut().zip(xrow) {
-            let p = (((x as i16) << sh) ^ m16) - m16;
-            *a += p as i32;
-        }
-    }
-}
-
-/// The `i32` MAC body compiled with AVX2 codegen: identical Rust to the
-/// portable body in [`QgemmAct::accumulate_row`], so results are
-/// bit-identical — integer shift/xor/sub/add do not change meaning with
-/// vector width; only the throughput does (~2× on the 256-column
-/// microbenchmark versus baseline SSE2 codegen).
+/// The MAC body compiled with AVX2 codegen: identical Rust to the
+/// portable body in [`accumulate_row`], so results are bit-identical —
+/// integer shift/xor/sub/add do not change meaning with vector width;
+/// only the throughput does (the `i16`-staged shift/negate runs 16 lanes
+/// per instruction).
 ///
 /// # Safety
 ///
@@ -141,24 +107,7 @@ impl QgemmAct for i8 {
 /// (`is_x86_feature_detected!("avx2")`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn accumulate_row_i32_avx2(acc: &mut [i32], xrow: &[i32], sh: u32, m: i32) {
-    for (a, &x) in acc.iter_mut().zip(xrow) {
-        *a += ((x << sh) ^ m) - m;
-    }
-}
-
-/// The `i8` MAC body compiled with AVX2 codegen (see
-/// [`accumulate_row_i32_avx2`] for the multiversioning contract): the
-/// `i16`-staged shift/negate runs 16 lanes per instruction, which is
-/// what lets the byte-streamed entry match the `i32` entry's in-cache
-/// throughput while moving a quarter of the bytes.
-///
-/// # Safety
-///
-/// Callers must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_row_i8_avx2(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
+unsafe fn accumulate_row_avx2(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
     let m16 = m as i16;
     for (a, &x) in acc.iter_mut().zip(xrow) {
         let p = (((x as i16) << sh) ^ m16) - m16;
@@ -173,14 +122,10 @@ const SHIFT: [u32; 16] = build_shift_table();
 /// `(shifted ^ mask) − mask`.
 const SIGN_MASK: [i32; 16] = build_sign_table();
 
-/// Largest activation magnitude whose worst-case product (`x << 7`) still
-/// fits the 16-bit product register: `x ∈ [−256, 255]`. 8-bit activation
-/// codes are comfortably inside.
-const X_BITS: u8 = 9;
-
-/// Synapse-chunk length for the 32-bit partial accumulators: products fit
-/// 16 bits, so `2^14` of them can reach at most `2^30` in magnitude —
-/// safely inside `i32` — before flushing to the 64-bit accumulator.
+/// Synapse-chunk length for the 32-bit partial accumulators: `i8`
+/// products are bounded by `2^14`, so `2^14` of them reach at most `2^28`
+/// in magnitude — safely inside `i32` — before flushing to the 64-bit
+/// accumulator.
 const ACC32_CHUNK: usize = 1 << 14;
 
 const fn build_shift_table() -> [u32; 16] {
@@ -203,32 +148,16 @@ const fn build_sign_table() -> [i32; 16] {
     t
 }
 
-/// Audits `i32` operands against the 9-bit bound that keeps every shifted
-/// product inside the 16-bit product register. The `i8` entry never calls
-/// this: an 8-bit code is structurally inside the bound, which is what
-/// lets that path delete the O(k·ncols) scan entirely.
-fn audit_operands(xt: &[i32]) -> Result<()> {
-    for &x in xt {
-        if !fits_in_bits(x as i64, X_BITS) {
-            mfdfp_obs::ops::record_overflow_audit();
-            return Err(TensorError::QuantizedOverflow { value: x as i64, bits: X_BITS });
-        }
-    }
-    Ok(())
-}
-
-/// Shape validation shared by every entry point; returns the inner
-/// dimension `k`. Operand auditing is separate ([`audit_operands`]) —
-/// only the `i32` entries need it.
-fn qgemm_check<T: QgemmAct>(
+/// Shape validation of the entry point.
+fn qgemm_check(
     w: &PackedPow2Matrix,
     row0: usize,
     rows: usize,
-    xt: &[T],
+    xt: &[i8],
     ncols: usize,
     bias: &[i64],
     out_len: usize,
-) -> Result<usize> {
+) -> Result<()> {
     let k = w.cols();
     if row0 + rows > w.rows() {
         return Err(TensorError::BadGeometry(format!(
@@ -246,15 +175,13 @@ fn qgemm_check<T: QgemmAct>(
     if out_len != rows * ncols {
         return Err(TensorError::DataLength { expected: rows * ncols, actual: out_len });
     }
-    Ok(k)
+    Ok(())
 }
 
 /// The serial band kernel: computes output rows `[band0, band0 + rows)` of
 /// the packed product into `out` (`rows × ncols`, row-major activation
-/// codes). `bias` is indexed relative to the band. Generic over the
-/// activation element ([`QgemmAct`]): `i8` codes are widened in register,
-/// one sign-extending load per MAC, so the kernel streams a quarter of
-/// the im2col bytes the `i32` entry moves.
+/// codes). `bias` is indexed relative to the band. The `i8` codes are
+/// widened in register, one sign-extending load per MAC.
 ///
 /// Loop nest: per weight nibble, the shift amount and sign mask are
 /// resolved **once** and applied across the whole activation row (the
@@ -270,11 +197,11 @@ fn qgemm_check<T: QgemmAct>(
 /// per pool thread, so after each thread's first call the kernel
 /// allocates nothing.
 #[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
-fn qgemm_band<T: QgemmAct>(
+fn qgemm_band(
     w: &PackedPow2Matrix,
     band0: usize,
     rows: usize,
-    xt: &[T],
+    xt: &[i8],
     ncols: usize,
     bias: &[i64],
     acc_frac: i32,
@@ -294,10 +221,8 @@ fn qgemm_band<T: QgemmAct>(
                 acc32.fill(0);
                 for c in c0..c1 {
                     let code = ((wrow[c >> 1] >> ((c & 1) * 4)) & 0xF) as usize;
-                    let sh = SHIFT[code];
-                    let m = SIGN_MASK[code];
                     let xrow = &xt[c * ncols..(c + 1) * ncols];
-                    T::accumulate_row(acc32, xrow, sh, m);
+                    accumulate_row(acc32, xrow, SHIFT[code], SIGN_MASK[code]);
                 }
                 for (a64, &a32) in acc64.iter_mut().zip(acc32.iter()) {
                     *a64 += a32 as i64;
@@ -319,108 +244,66 @@ fn qgemm_band<T: QgemmAct>(
     })
 }
 
-/// Computes output rows `[row0, row0 + rows)` of the packed shift-only
-/// product `out = route(W · Xᵀ + bias)` into a caller-provided buffer.
+/// The packed shift-only GEMM: computes output rows `[row0, row0 + rows)`
+/// of `out = route(W · Xᵀ + bias)` over the **fused** column matrix of a
+/// whole batch, into a caller-provided buffer.
 ///
 /// * `w` — packed `R × k` power-of-two weight matrix; the band selects
 ///   rows `row0..row0 + rows` (e.g. one group of a grouped convolution).
-/// * `xt` — the activation matrix in the standard im2col layout:
-///   `k × ncols` row-major, so one synapse's activations across all
-///   `ncols` output columns are contiguous (`xt[c * ncols + j]`) and the
-///   per-nibble tables hoist out of the column loop.
+/// * `xt` — the activation codes in the batched im2col layout produced by
+///   [`im2col_batched_i8`](crate::ops::conv::im2col_batched_i8):
+///   `k × (ncols_per_image · batch)` row-major, the batch interleaved
+///   innermost (column `j = p · batch + b` is output pixel `p` of image
+///   `b`), so one synapse's activations across all columns are contiguous
+///   and the per-nibble tables hoist out of the column loop. With
+///   `batch = 1` this is the plain per-image im2col matrix.
 /// * `bias` — `rows` accumulator-format biases (fractional length
 ///   `acc_frac`), relative to the band.
 /// * `acc_frac`/`out_frac` — the radix control signals `m + 7` and `n` of
-///   the routing stage; `out` receives saturated 8-bit activation codes.
-///
-/// With the `parallel` cargo feature, bands whose work crosses the shared
-/// `par` module threshold are split by output row across OS threads —
-/// bit-identical to the serial kernel (integer accumulation is
-/// order-independent and the kernel fixes per-element order anyway).
-///
-/// # Errors
-///
-/// [`TensorError::BadGeometry`]/[`TensorError::DataLength`] on shape
-/// mismatches, [`TensorError::QuantizedOverflow`] if an operand exceeds 9
-/// bits or an accumulator leaves its 32-bit register.
-#[allow(clippy::too_many_arguments)] // kernel entry: slices + full index frame
-pub fn qgemm_into(
-    w: &PackedPow2Matrix,
-    row0: usize,
-    rows: usize,
-    xt: &[i32],
-    ncols: usize,
-    bias: &[i64],
-    acc_frac: i32,
-    out_frac: i32,
-    out: &mut [i8],
-) -> Result<()> {
-    qgemm_check(w, row0, rows, xt, ncols, bias, out.len())?;
-    audit_operands(xt)?;
-    dispatch_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out)
-}
-
-/// The `i8` streaming entry: identical product to [`qgemm_into`], but the
-/// im2col activations arrive as raw 8-bit codes and are widened in
-/// register — a quarter of the staging traffic, and **no operand audit
-/// scan**: every `i8` is structurally inside the 9-bit bound, so the
-/// audit is a property of the type, not a per-call O(k·ncols) pass.
-///
-/// This is the deployed hot path's entry (`ShiftConv::run_with` /
-/// `ShiftLinear::run_with` in `mfdfp-accel` stream it directly over their
-/// activation-code buffers).
-///
-/// # Errors
-///
-/// [`TensorError::BadGeometry`]/[`TensorError::DataLength`] on shape
-/// mismatches, [`TensorError::QuantizedOverflow`] if an accumulator
-/// leaves its 32-bit register (operands cannot overflow by construction).
-#[allow(clippy::too_many_arguments)] // kernel entry: slices + full index frame
-pub fn qgemm_into_i8(
-    w: &PackedPow2Matrix,
-    row0: usize,
-    rows: usize,
-    xt: &[i8],
-    ncols: usize,
-    bias: &[i64],
-    acc_frac: i32,
-    out_frac: i32,
-    out: &mut [i8],
-) -> Result<()> {
-    qgemm_check(w, row0, rows, xt, ncols, bias, out.len())?;
-    dispatch_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out)
-}
-
-/// The batch-fused `i8` entry: one packed shift-MAC pass over the
-/// **fused** column matrix of a whole batch. `xt` is the batched im2col
-/// layout produced by
-/// [`im2col_batched_i8`](crate::ops::conv::im2col_batched_i8) —
-/// `k × (ncols_per_image · batch)` with the batch interleaved innermost
-/// (column `j = p · batch + b` is output pixel `p` of image `b`) — and
-/// `out` receives the band's `rows × (ncols_per_image · batch)` codes in
-/// the same interleaved order, ready to be the next layer's input.
+///   the routing stage; `out` receives the band's
+///   `rows × (ncols_per_image · batch)` saturated 8-bit codes in the same
+///   interleaved order, ready to be the next layer's input.
 ///
 /// **Bit-identity contract.** The band kernel computes every output
 /// element by walking synapses `c = 0..k` in a fixed order that chunks
 /// over `k` only — the column count never changes the per-element
-/// accumulation order. Widening `ncols` from `ncols_per_image` to
-/// `ncols_per_image · batch` therefore yields, column for column, exactly
-/// the integers the per-image calls produce: the fused path is
-/// bit-identical to `batch` separate [`qgemm_into_i8`] calls by
-/// construction (and property-tested in
-/// `crates/tensor/tests/properties.rs`). The shift-MAC telemetry is
-/// likewise exact automatically: `rows · k · (ncols_per_image · batch)`
-/// equals the sum of the per-image counts.
+/// accumulation order. A fused call therefore yields, column for column,
+/// exactly the integers `batch` single-image calls produce (property-
+/// tested in `crates/tensor/tests/properties.rs`), and the shift-MAC
+/// telemetry `rows · k · (ncols_per_image · batch)` equals the sum of the
+/// per-image counts.
 ///
 /// What fusion buys is dispatch shape, not arithmetic: the MAC rows are
-/// `batch`× longer (deeper SIMD per nibble decode) and the row-banded
-/// parallel threshold sees the whole layer-batch product at once, so the
-/// pool splits per-layer work instead of per-image work.
+/// `batch`× longer (deeper SIMD per nibble decode) and, with the
+/// `parallel` cargo feature, the row-banded threshold of the shared `par`
+/// module sees the whole layer-batch product, so the pool splits
+/// per-layer work by output row — bit-identical to the serial kernel.
 ///
 /// # Errors
 ///
-/// [`TensorError::BadGeometry`] for a zero batch and the shape/overflow
-/// errors of [`qgemm_into_i8`].
+/// [`TensorError::BadGeometry`] for a zero batch or a row band outside
+/// `w`, [`TensorError::DataLength`] on buffer-length mismatches, and
+/// [`TensorError::QuantizedOverflow`] if an accumulator leaves its 32-bit
+/// register (operands cannot overflow by construction).
+///
+/// # Examples
+///
+/// ```
+/// use mfdfp_dfp::{PackedPow2Matrix, Pow2Weight};
+/// use mfdfp_tensor::qgemm_fused_into_i8;
+///
+/// // 1×2 weight row [0.5, −1] against one activation column [64, 10].
+/// let w = PackedPow2Matrix::from_f32(1, 2, &[0.5, -1.0])?;
+/// let x = [64i8, 10];
+/// // Products carry 7 extra fractional bits (mul_shift semantics):
+/// let acc: i64 = Pow2Weight::from_f32(0.5).mul_shift(x[0] as i32) as i64
+///     + Pow2Weight::from_f32(-1.0).mul_shift(x[1] as i32) as i64;
+/// // Route from fractional length 7+7 back to 7: divide by 2^7.
+/// let mut out = [0i8; 1];
+/// qgemm_fused_into_i8(&w, 0, 1, &x, 1, 1, &[0], 7 + 7, 7, &mut out)?;
+/// assert_eq!(out, [(acc >> 7) as i8]); // (64·0.5 − 10) = 22
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[allow(clippy::too_many_arguments)] // kernel entry: slices + full index frame
 pub fn qgemm_fused_into_i8(
     w: &PackedPow2Matrix,
@@ -443,20 +326,20 @@ pub fn qgemm_fused_into_i8(
     dispatch_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out)
 }
 
-/// Shared serial/parallel dispatch: bands whose work crosses the `par`
-/// module threshold fan output rows across the persistent pool; audits
-/// and shape checks have already run.
+/// Serial/parallel dispatch: bands whose work crosses the `par` module
+/// threshold fan output rows across the persistent pool; shape checks
+/// have already run.
 ///
 /// The dispatch decision is traced (`obs` feature): one span per call,
 /// labelled `qgemm.parallel` or `qgemm.serial` by the path chosen, with
 /// the band's MAC count as the argument — the flight-recorder view of
 /// *which* kernel variant served each layer.
 #[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
-fn dispatch_band<T: QgemmAct>(
+fn dispatch_band(
     w: &PackedPow2Matrix,
     row0: usize,
     rows: usize,
-    xt: &[T],
+    xt: &[i8],
     ncols: usize,
     bias: &[i64],
     acc_frac: i32,
@@ -483,11 +366,11 @@ fn dispatch_band<T: QgemmAct>(
 /// Chunks are disjoint, so no further synchronisation is needed.
 #[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
-fn qgemm_band_parallel<T: QgemmAct>(
+fn qgemm_band_parallel(
     w: &PackedPow2Matrix,
     row0: usize,
     rows: usize,
-    xt: &[T],
+    xt: &[i8],
     ncols: usize,
     bias: &[i64],
     acc_frac: i32,
@@ -516,133 +399,6 @@ fn qgemm_band_parallel<T: QgemmAct>(
     }
 }
 
-/// Packed shift-only GEMM over the whole weight matrix:
-/// `out[r, j] = route(Σ_c w[r, c] · xt[c, j] + bias[r])`, returned as a
-/// `rows × ncols` row-major vector of 8-bit activation codes (`xt` is the
-/// `k × ncols` im2col activation matrix — see [`qgemm_into`]).
-///
-/// This is the dispatching entry point: with the `parallel` feature,
-/// products above the shared `par` module work threshold fan output
-/// rows across OS threads; smaller products (and the default build) run
-/// [`qgemm_serial`]'s kernel. Results are bit-identical either way.
-///
-/// # Errors
-///
-/// See [`qgemm_into`].
-///
-/// # Examples
-///
-/// ```
-/// use mfdfp_dfp::{PackedPow2Matrix, Pow2Weight};
-/// use mfdfp_tensor::ops::qgemm::qgemm;
-///
-/// // 1×2 weight row [0.5, −1] against one activation column [64, 10].
-/// let w = PackedPow2Matrix::from_f32(1, 2, &[0.5, -1.0])?;
-/// let x = [64i32, 10];
-/// // Products carry 7 extra fractional bits (mul_shift semantics):
-/// let acc: i64 = Pow2Weight::from_f32(0.5).mul_shift(x[0]) as i64
-///     + Pow2Weight::from_f32(-1.0).mul_shift(x[1]) as i64;
-/// // Route from fractional length 7+7 back to 7: divide by 2^7.
-/// let out = qgemm(&w, &x, 1, &[0], 7 + 7, 7)?;
-/// assert_eq!(out, vec![(acc >> 7) as i8]); // (64·0.5 − 10) = 22
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn qgemm(
-    w: &PackedPow2Matrix,
-    xt: &[i32],
-    ncols: usize,
-    bias: &[i64],
-    acc_frac: i32,
-    out_frac: i32,
-) -> Result<Vec<i8>> {
-    let mut out = vec![0i8; w.rows() * ncols];
-    qgemm_into(w, 0, w.rows(), xt, ncols, bias, acc_frac, out_frac, &mut out)?;
-    Ok(out)
-}
-
-/// Whole-matrix convenience over the `i8` streaming entry
-/// ([`qgemm_into_i8`]): activations arrive as raw 8-bit codes, no audit
-/// scan, a quarter of the staging traffic. Bit-identical to [`qgemm`] on
-/// the widened copy of the same codes.
-///
-/// # Errors
-///
-/// See [`qgemm_into_i8`].
-///
-/// # Examples
-///
-/// ```
-/// use mfdfp_dfp::PackedPow2Matrix;
-/// use mfdfp_tensor::ops::qgemm::{qgemm, qgemm_i8};
-///
-/// let w = PackedPow2Matrix::from_f32(2, 3, &[0.5, -1.0, 0.25, 1.0, 0.125, -0.5])?;
-/// let codes = [64i8, 10, -32];
-/// let widened: Vec<i32> = codes.iter().map(|&c| c as i32).collect();
-/// assert_eq!(
-///     qgemm_i8(&w, &codes, 1, &[0, 0], 7 + 7, 7)?,
-///     qgemm(&w, &widened, 1, &[0, 0], 7 + 7, 7)?,
-/// );
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn qgemm_i8(
-    w: &PackedPow2Matrix,
-    xt: &[i8],
-    ncols: usize,
-    bias: &[i64],
-    acc_frac: i32,
-    out_frac: i32,
-) -> Result<Vec<i8>> {
-    let mut out = vec![0i8; w.rows() * ncols];
-    qgemm_into_i8(w, 0, w.rows(), xt, ncols, bias, acc_frac, out_frac, &mut out)?;
-    Ok(out)
-}
-
-/// Single-threaded packed GEMM — the deterministic reference schedule
-/// (the kernel itself is shared with the parallel path).
-///
-/// # Errors
-///
-/// See [`qgemm_into`].
-pub fn qgemm_serial(
-    w: &PackedPow2Matrix,
-    xt: &[i32],
-    ncols: usize,
-    bias: &[i64],
-    acc_frac: i32,
-    out_frac: i32,
-) -> Result<Vec<i8>> {
-    let rows = w.rows();
-    let mut out = vec![0i8; rows * ncols];
-    qgemm_check(w, 0, rows, xt, ncols, bias, out.len())?;
-    audit_operands(xt)?;
-    qgemm_band(w, 0, rows, xt, ncols, bias, acc_frac, out_frac, &mut out)?;
-    Ok(out)
-}
-
-/// Forced row-parallel packed GEMM, regardless of the work threshold.
-/// Bit-identical to [`qgemm_serial`] for every input; prefer [`qgemm`],
-/// which only pays the pool dispatch when the product can repay it.
-///
-/// # Errors
-///
-/// See [`qgemm_into`].
-#[cfg(feature = "parallel")]
-pub fn qgemm_parallel(
-    w: &PackedPow2Matrix,
-    xt: &[i32],
-    ncols: usize,
-    bias: &[i64],
-    acc_frac: i32,
-    out_frac: i32,
-) -> Result<Vec<i8>> {
-    let rows = w.rows();
-    let mut out = vec![0i8; rows * ncols];
-    qgemm_check(w, 0, rows, xt, ncols, bias, out.len())?;
-    audit_operands(xt)?;
-    qgemm_band_parallel(w, 0, rows, xt, ncols, bias, acc_frac, out_frac, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,7 +408,7 @@ mod tests {
     /// `mul_shift`, i64 accumulate, bias, realign + saturate.
     fn reference(
         w: &PackedPow2Matrix,
-        xt: &[i32],
+        xt: &[i8],
         ncols: usize,
         bias: &[i64],
         acc_frac: i32,
@@ -664,12 +420,27 @@ mod tests {
             for j in 0..ncols {
                 let mut acc = b;
                 for c in 0..k {
-                    acc += w.get(r, c).mul_shift(xt[c * ncols + j]) as i64;
+                    acc += w.get(r, c).mul_shift(xt[c * ncols + j] as i32) as i64;
                 }
                 out.push(saturate(realign(acc, acc_frac, out_frac), 8) as i8);
             }
         }
         out
+    }
+
+    /// The whole-matrix product through the entry, as one image
+    /// (`batch = 1`).
+    fn product(
+        w: &PackedPow2Matrix,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+    ) -> Result<Vec<i8>> {
+        let mut out = vec![0i8; w.rows() * ncols];
+        qgemm_fused_into_i8(w, 0, w.rows(), xt, ncols, 1, bias, acc_frac, out_frac, &mut out)?;
+        Ok(out)
     }
 
     fn codes_matrix(rows: usize, cols: usize, seed: u64) -> PackedPow2Matrix {
@@ -685,14 +456,14 @@ mod tests {
         PackedPow2Matrix::from_weights(rows, cols, &ws).unwrap()
     }
 
-    fn inputs(n: usize, seed: u64) -> Vec<i32> {
+    fn inputs(n: usize, seed: u64) -> Vec<i8> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         (0..n)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                (state % 256) as u8 as i8 as i32
+                (state % 256) as u8 as i8
             })
             .collect()
     }
@@ -705,7 +476,7 @@ mod tests {
             let w = codes_matrix(rows, cols, (rows * 31 + cols * 7 + ncols) as u64);
             let xt = inputs(ncols * cols, 99);
             let bias: Vec<i64> = (0..rows).map(|r| (r as i64 - 2) * 100).collect();
-            let got = qgemm(&w, &xt, ncols, &bias, 13, 4).unwrap();
+            let got = product(&w, &xt, ncols, &bias, 13, 4).unwrap();
             let want = reference(&w, &xt, ncols, &bias, 13, 4);
             assert_eq!(got, want, "rows={rows} cols={cols} ncols={ncols}");
         }
@@ -714,10 +485,10 @@ mod tests {
     #[test]
     fn zero_row_and_zero_col_matrices() {
         let w = codes_matrix(0, 5, 3);
-        assert_eq!(qgemm(&w, &inputs(10, 1), 2, &[], 10, 3).unwrap(), vec![]);
+        assert_eq!(product(&w, &inputs(10, 1), 2, &[], 10, 3).unwrap(), vec![]);
         let w = codes_matrix(4, 0, 3);
         // k = 0: every output is just its routed bias (frac 14 → frac 7).
-        let out = qgemm(&w, &[], 3, &[0, 1 << 7, -(1 << 7), 1 << 20], 14, 7).unwrap();
+        let out = product(&w, &[], 3, &[0, 1 << 7, -(1 << 7), 1 << 20], 14, 7).unwrap();
         assert_eq!(out.len(), 12);
         assert_eq!(&out[..3], &[0, 0, 0]);
         assert_eq!(&out[3..6], &[1, 1, 1]);
@@ -725,7 +496,7 @@ mod tests {
         assert_eq!(&out[9..], &[127, 127, 127], "oversized bias must saturate");
         // ncols = 0 is also legal and produces an empty output.
         let w = codes_matrix(2, 3, 5);
-        assert_eq!(qgemm(&w, &[], 0, &[0, 0], 10, 3).unwrap(), vec![]);
+        assert_eq!(product(&w, &[], 0, &[0, 0], 10, 3).unwrap(), vec![]);
     }
 
     #[test]
@@ -733,9 +504,9 @@ mod tests {
         for code in 0..16u8 {
             let wgt = Pow2Weight::decode4(code).unwrap();
             let w = PackedPow2Matrix::from_weights(1, 1, &[wgt]).unwrap();
-            for x in [-128i32, -1, 0, 1, 127] {
-                let out = qgemm(&w, &[x], 1, &[0], 7, 7).unwrap();
-                let want = saturate(realign(wgt.mul_shift(x) as i64, 7, 7), 8) as i8;
+            for x in [-128i8, -1, 0, 1, 127] {
+                let out = product(&w, &[x], 1, &[0], 7, 7).unwrap();
+                let want = saturate(realign(wgt.mul_shift(x as i32) as i64, 7, 7), 8) as i8;
                 assert_eq!(out, vec![want], "code={code} x={x}");
             }
         }
@@ -748,7 +519,7 @@ mod tests {
         let w = codes_matrix(4, 3, 17);
         let xt = inputs(3 * 6, 23);
         let bias = vec![0i64; 4];
-        let got = qgemm(&w, &xt, 6, &bias, 10, 3).unwrap();
+        let got = product(&w, &xt, 6, &bias, 10, 3).unwrap();
         assert_eq!(got, reference(&w, &xt, 6, &bias, 10, 3));
     }
 
@@ -763,7 +534,7 @@ mod tests {
             .collect();
         let w = PackedPow2Matrix::from_weights(2, 4, &ws).unwrap();
         let xt = inputs(4, 7);
-        let got = qgemm(&w, &xt, 1, &[0, 0], 7, 7).unwrap();
+        let got = product(&w, &xt, 1, &[0, 0], 7, 7).unwrap();
         assert_eq!(got, reference(&w, &xt, 1, &[0, 0], 7, 7));
     }
 
@@ -772,31 +543,31 @@ mod tests {
         // All +1 weights on all-max inputs with a large upscale: the
         // routed value flies past the 8-bit rails on both sides.
         let w = PackedPow2Matrix::from_f32(2, 16, &[1.0; 32]).unwrap();
-        let hi = vec![127i32; 16];
-        let lo = vec![-128i32; 16];
-        assert_eq!(qgemm(&w, &hi, 1, &[0, 0], 7, 7).unwrap(), vec![127, 127]);
-        assert_eq!(qgemm(&w, &lo, 1, &[0, 0], 7, 7).unwrap(), vec![-128, -128]);
+        let hi = vec![127i8; 16];
+        let lo = vec![-128i8; 16];
+        assert_eq!(product(&w, &hi, 1, &[0, 0], 7, 7).unwrap(), vec![127, 127]);
+        assert_eq!(product(&w, &lo, 1, &[0, 0], 7, 7).unwrap(), vec![-128, -128]);
     }
 
     #[test]
     fn audits_operand_width_and_shapes() {
         let w = codes_matrix(2, 4, 9);
-        let bias = vec![0i64; 2];
-        // 9-bit operand bound: 255 passes, 256 is rejected.
-        let mut xt = inputs(4, 5);
-        xt[1] = 255;
-        assert!(qgemm(&w, &xt, 1, &bias, 10, 3).is_ok());
-        xt[1] = 256;
+        let xt = inputs(4, 5);
+        // The 32-bit accumulator audit: a bias one past the register's
+        // top is rejected, the register's top itself routes.
+        let top = (1i64 << 31) - 1;
+        assert!(product(&w, &[0; 4], 1, &[top, 0], 10, 3).is_ok());
         assert!(matches!(
-            qgemm(&w, &xt, 1, &bias, 10, 3),
-            Err(TensorError::QuantizedOverflow { value: 256, bits: 9 })
+            product(&w, &[0; 4], 1, &[top + 1, 0], 10, 3),
+            Err(TensorError::QuantizedOverflow { bits: ACCUMULATOR_BITS, .. })
         ));
         // Shape mismatches.
-        assert!(qgemm(&w, &inputs(3, 5), 1, &bias, 10, 3).is_err());
-        assert!(qgemm(&w, &inputs(4, 5), 1, &[0], 10, 3).is_err());
+        let bias = vec![0i64; 2];
+        assert!(product(&w, &xt[..3], 1, &bias, 10, 3).is_err());
+        assert!(product(&w, &xt, 1, &[0], 10, 3).is_err());
         let mut out = vec![0i8; 5];
-        assert!(qgemm_into(&w, 0, 2, &inputs(4, 5), 1, &bias, 10, 3, &mut out).is_err());
-        assert!(qgemm_into(&w, 1, 2, &inputs(4, 5), 1, &bias, 10, 3, &mut out[..2]).is_err());
+        assert!(qgemm_fused_into_i8(&w, 0, 2, &xt, 1, 1, &bias, 10, 3, &mut out).is_err());
+        assert!(qgemm_fused_into_i8(&w, 1, 2, &xt, 1, 1, &bias, 10, 3, &mut out[..2]).is_err());
     }
 
     #[test]
@@ -804,40 +575,29 @@ mod tests {
         let w = codes_matrix(6, 10, 41);
         let xt = inputs(10 * 4, 3);
         let bias: Vec<i64> = (0..6).map(|r| r as i64 * 64).collect();
-        let full = qgemm(&w, &xt, 4, &bias, 12, 5).unwrap();
+        let full = product(&w, &xt, 4, &bias, 12, 5).unwrap();
         for (row0, rows) in [(0usize, 2usize), (2, 3), (5, 1), (0, 6)] {
             let mut band = vec![0i8; rows * 4];
-            qgemm_into(&w, row0, rows, &xt, 4, &bias[row0..row0 + rows], 12, 5, &mut band).unwrap();
+            let b = &bias[row0..row0 + rows];
+            qgemm_fused_into_i8(&w, row0, rows, &xt, 4, 1, b, 12, 5, &mut band).unwrap();
             assert_eq!(band, full[row0 * 4..(row0 + rows) * 4], "band {row0}+{rows}");
-        }
-    }
-
-    #[test]
-    fn i8_entry_matches_widened_i32_entry() {
-        for (rows, cols, ncols) in [(1, 1, 1), (3, 7, 5), (4, 16, 2), (5, 9, 9), (2, 33, 3)] {
-            let w = codes_matrix(rows, cols, (rows * 13 + cols * 5 + ncols) as u64);
-            let xt32 = inputs(ncols * cols, 55);
-            let xt8: Vec<i8> = xt32.iter().map(|&x| x as i8).collect();
-            let bias: Vec<i64> = (0..rows).map(|r| (r as i64 - 1) * 50).collect();
-            assert_eq!(
-                qgemm_i8(&w, &xt8, ncols, &bias, 12, 5).unwrap(),
-                qgemm(&w, &xt32, ncols, &bias, 12, 5).unwrap(),
-                "rows={rows} cols={cols} ncols={ncols}"
-            );
         }
     }
 
     #[test]
     fn i8_band_matches_full_product() {
+        // Row bands compose under a fused batch too: 2 pixels × 3 images.
         let w = codes_matrix(6, 10, 43);
-        let xt: Vec<i8> = inputs(10 * 4, 8).iter().map(|&x| x as i8).collect();
+        let xt = inputs(10 * 2 * 3, 8);
         let bias: Vec<i64> = (0..6).map(|r| r as i64 * 32).collect();
-        let full = qgemm_i8(&w, &xt, 4, &bias, 12, 5).unwrap();
+        let mut full = vec![0i8; 6 * 6];
+        qgemm_fused_into_i8(&w, 0, 6, &xt, 2, 3, &bias, 12, 5, &mut full).unwrap();
+        assert_eq!(full, reference(&w, &xt, 6, &bias, 12, 5));
         for (row0, rows) in [(0usize, 3usize), (3, 3), (4, 2)] {
-            let mut band = vec![0i8; rows * 4];
-            qgemm_into_i8(&w, row0, rows, &xt, 4, &bias[row0..row0 + rows], 12, 5, &mut band)
-                .unwrap();
-            assert_eq!(band, full[row0 * 4..(row0 + rows) * 4], "band {row0}+{rows}");
+            let mut band = vec![0i8; rows * 6];
+            let b = &bias[row0..row0 + rows];
+            qgemm_fused_into_i8(&w, row0, rows, &xt, 2, 3, b, 12, 5, &mut band).unwrap();
+            assert_eq!(band, full[row0 * 6..(row0 + rows) * 6], "band {row0}+{rows}");
         }
     }
 
@@ -845,13 +605,17 @@ mod tests {
     fn i8_entry_validates_shapes() {
         let w = codes_matrix(2, 4, 9);
         let bias = vec![0i64; 2];
-        let xt: Vec<i8> = inputs(4, 5).iter().map(|&x| x as i8).collect();
-        assert!(qgemm_i8(&w, &xt, 1, &bias, 10, 3).is_ok());
-        assert!(qgemm_i8(&w, &xt[..3], 1, &bias, 10, 3).is_err());
-        assert!(qgemm_i8(&w, &xt, 1, &[0], 10, 3).is_err());
-        let mut out = vec![0i8; 1];
-        assert!(qgemm_into_i8(&w, 0, 2, &xt, 1, &bias, 10, 3, &mut out).is_err());
-        assert!(qgemm_into_i8(&w, 1, 2, &xt, 1, &bias, 10, 3, &mut out).is_err());
+        let xt = inputs(4 * 3, 5);
+        let mut out = vec![0i8; 2 * 3];
+        assert!(qgemm_fused_into_i8(&w, 0, 2, &xt, 1, 3, &bias, 10, 3, &mut out).is_ok());
+        // Zero batch, and buffers sized for a different batch.
+        assert!(matches!(
+            qgemm_fused_into_i8(&w, 0, 2, &[], 1, 0, &bias, 10, 3, &mut []),
+            Err(TensorError::BadGeometry(_))
+        ));
+        assert!(qgemm_fused_into_i8(&w, 0, 2, &xt, 1, 2, &bias, 10, 3, &mut out).is_err());
+        assert!(qgemm_fused_into_i8(&w, 0, 2, &xt, 1, 3, &bias, 10, 3, &mut out[..4]).is_err());
+        assert!(qgemm_fused_into_i8(&w, 0, 2, &xt[..8], 1, 3, &bias, 10, 3, &mut out).is_err());
     }
 
     #[test]
@@ -861,11 +625,7 @@ mod tests {
         let w = codes_matrix(3, 8, 5);
         let xt = [-128i8, 127, -128, 127, -128, 127, -128, 127];
         let bias = vec![0i64; 3];
-        let widened: Vec<i32> = xt.iter().map(|&x| x as i32).collect();
-        assert_eq!(
-            qgemm_i8(&w, &xt, 1, &bias, 10, 3).unwrap(),
-            qgemm(&w, &widened, 1, &bias, 10, 3).unwrap()
-        );
+        assert_eq!(product(&w, &xt, 1, &bias, 10, 3).unwrap(), reference(&w, &xt, 1, &bias, 10, 3));
     }
 
     #[cfg(feature = "parallel")]
@@ -874,23 +634,44 @@ mod tests {
         // Large enough to cross MIN_MACS under MFDFP_THREADS >= 2.
         let (rows, cols, ncols) = (64, 64, 64);
         let w = codes_matrix(rows, cols, 3);
-        let xt: Vec<i8> = inputs(cols * ncols, 4).iter().map(|&x| x as i8).collect();
+        let xt = inputs(cols * ncols, 4);
         let bias: Vec<i64> = (0..rows).map(|r| r as i64).collect();
         let mut via_dispatch = vec![0i8; rows * ncols];
-        qgemm_into_i8(&w, 0, rows, &xt, ncols, &bias, 13, 4, &mut via_dispatch).unwrap();
+        qgemm_fused_into_i8(&w, 0, rows, &xt, ncols, 1, &bias, 13, 4, &mut via_dispatch).unwrap();
         let mut serial = vec![0i8; rows * ncols];
         qgemm_band(&w, 0, rows, &xt, ncols, &bias, 13, 4, &mut serial).unwrap();
         assert_eq!(via_dispatch, serial);
     }
 
+    /// The forced row-parallel schedule, regardless of the work
+    /// threshold, emits the serial kernel's bytes and the decode oracle's
+    /// codes for every shape.
     #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_bit_identical_to_serial() {
-        let w = codes_matrix(23, 17, 77);
-        let xt = inputs(17 * 9, 13);
-        let bias: Vec<i64> = (0..23).map(|r| (r as i64 - 11) * 32).collect();
-        let s = qgemm_serial(&w, &xt, 9, &bias, 13, 4).unwrap();
-        let p = qgemm_parallel(&w, &xt, 9, &bias, 13, 4).unwrap();
-        assert_eq!(s, p);
+    mod forced_parallel {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn parallel_bit_identical_to_serial(
+                rows in 1usize..20,
+                cols in 1usize..16,
+                ncols in 1usize..6,
+                seed in 0u64..100_000,
+            ) {
+                let w = codes_matrix(rows, cols, seed);
+                let xt = inputs(cols * ncols, seed ^ 0x5bd1_e995);
+                let bias: Vec<i64> = (0..rows).map(|r| (r as i64 - 11) * 32).collect();
+                let mut serial = vec![0i8; rows * ncols];
+                qgemm_band(&w, 0, rows, &xt, ncols, &bias, 13, 5, &mut serial).unwrap();
+                let mut parallel = vec![0i8; rows * ncols];
+                qgemm_band_parallel(&w, 0, rows, &xt, ncols, &bias, 13, 5, &mut parallel)
+                    .unwrap();
+                prop_assert_eq!(&serial, &parallel);
+                prop_assert_eq!(serial, reference(&w, &xt, ncols, &bias, 13, 5));
+            }
+        }
     }
 }

@@ -174,12 +174,14 @@ proptest! {
 /// The batch-fused conv path must never change a single output bit: the
 /// fused column matrix is a pure re-layout (batch interleaved innermost)
 /// and the kernel's per-output accumulation order does not depend on the
-/// column count. These run in both feature sets — under `parallel` the
-/// fused product frequently crosses the row-band dispatch threshold, so
-/// the same cases also pin serial == parallel on the fused path.
+/// column count. Both are checked against independent per-image oracles
+/// (a plain im2col loop, a decode-based `mul_shift` GEMM). These run in
+/// both feature sets — under `parallel` the fused product frequently
+/// crosses the row-band dispatch threshold, so the same cases also pin
+/// serial == parallel on the fused path.
 mod fused_batch_equivalence {
-    use mfdfp_dfp::{PackedPow2Matrix, Pow2Weight};
-    use mfdfp_tensor::{im2col_batched_i8, qgemm_fused_into_i8, qgemm_into_i8, ConvGeometry};
+    use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, Pow2Weight};
+    use mfdfp_tensor::{im2col_batched_i8, qgemm_fused_into_i8, ConvGeometry};
     use proptest::prelude::*;
 
     fn codes_matrix(rows: usize, cols: usize, seed: u64) -> PackedPow2Matrix {
@@ -219,6 +221,31 @@ mod fused_batch_equivalence {
             }
         }
         fused
+    }
+
+    /// Decode-based GEMM oracle for one image's `k × ncols` column matrix:
+    /// per-element `Pow2Weight::mul_shift`, exact i64 accumulation, bias,
+    /// then the routing realign + saturate — sharing no code with the
+    /// packed kernel.
+    fn decode_oracle(
+        w: &PackedPow2Matrix,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+    ) -> Vec<i8> {
+        let mut out = Vec::with_capacity(w.rows() * ncols);
+        for (r, &b) in bias.iter().enumerate() {
+            for j in 0..ncols {
+                let mut acc = b;
+                for c in 0..w.cols() {
+                    acc += w.get(r, c).mul_shift(xt[c * ncols + j] as i32) as i64;
+                }
+                out.push(saturate(realign(acc, acc_frac, out_frac), 8) as i8);
+            }
+        }
+        out
     }
 
     /// Independent per-image im2col oracle: the plain quadruple loop with
@@ -295,10 +322,11 @@ mod fused_batch_equivalence {
         }
 
         /// One fused kernel call over `B` interleaved column matrices is
-        /// bit-identical to `B` per-image calls, across random weight
-        /// shapes, radix positions, and batch sizes 1..=9. Under the
-        /// `parallel` feature larger cases cross the row-band dispatch
-        /// threshold, covering the fused-parallel schedule too.
+        /// bit-identical to `B` single-image (`batch = 1`) calls of the
+        /// same entry and to the decode oracle on each image, across
+        /// random weight shapes, radix positions, and batch sizes 1..=9.
+        /// Under the `parallel` feature larger cases cross the row-band
+        /// dispatch threshold, covering the fused-parallel schedule too.
         #[test]
         fn fused_qgemm_bit_identical_to_per_image(
             rows in 1usize..9,
@@ -324,8 +352,15 @@ mod fused_batch_equivalence {
             .unwrap();
             for (b, img) in images.iter().enumerate() {
                 let mut per = vec![0i8; rows * ncols_pi];
-                qgemm_into_i8(&w, 0, rows, img, ncols_pi, &bias, acc_frac, out_frac, &mut per)
-                    .unwrap();
+                qgemm_fused_into_i8(
+                    &w, 0, rows, img, ncols_pi, 1, &bias, acc_frac, out_frac, &mut per,
+                )
+                .unwrap();
+                prop_assert_eq!(
+                    &per,
+                    &decode_oracle(&w, img, ncols_pi, &bias, acc_frac, out_frac),
+                    "b={} single-image call vs decode oracle", b
+                );
                 for (e, &want) in per.iter().enumerate() {
                     prop_assert_eq!(
                         fused_out[e * batch + b], want,

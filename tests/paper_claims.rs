@@ -134,9 +134,10 @@ fn dynamic_format_range_claim() {
 /// (energy = per-op energy × op count). The batch-fused forward (one
 /// im2col + one qgemm per layer per batch) must therefore count exactly
 /// the sum of its per-image runs: fusion reshapes the schedule, never
-/// the work. With `obs` off all counters are compile-time zeros and the
-/// equality holds trivially; the `obs` assertion below keeps the test
-/// honest by requiring real counted work on instrumented builds.
+/// the work. Single images run the same fused path at batch 1, so on
+/// instrumented builds both counts are also checked against the work the
+/// layer geometry implies. With `obs` off all counters are compile-time
+/// zeros and the equalities hold trivially.
 #[test]
 fn fused_batch_op_count_equals_sum_of_per_image_counts() {
     use mfdfp::core::{calibrate, QuantizedNet};
@@ -174,8 +175,24 @@ fn fused_batch_op_count_equals_sum_of_per_image_counts() {
     );
     #[cfg(feature = "obs")]
     {
-        assert!(fused_ops.shift_macs > 0, "instrumented builds must observe real MAC work");
-        assert!(fused_ops.im2col_bytes > 0, "conv layers must stage counted bytes");
+        use mfdfp::core::QLayer;
+        // Independent side: one image's shift-MACs are every conv's
+        // geometric MACs plus every linear layer's in·out, and its staged
+        // bytes are one im2col column matrix per conv group.
+        let (mut macs, mut bytes) = (0u64, 0u64);
+        for layer in q.layers() {
+            match layer {
+                QLayer::Conv(c) => {
+                    macs += c.geom.macs() as u64;
+                    bytes += (c.geom.groups * c.im2col_len()) as u64;
+                }
+                QLayer::Linear(l) => macs += (l.in_features * l.out_features) as u64,
+                _ => {}
+            }
+        }
+        assert!(macs > 0 && bytes > 0, "the net must have conv and linear work");
+        assert_eq!(fused_ops.shift_macs, 5 * macs, "MACs must match the layer geometry");
+        assert_eq!(fused_ops.im2col_bytes, 5 * bytes, "bytes must match the im2col geometry");
     }
 }
 
