@@ -3,24 +3,22 @@
 //! model (or a whole zoo) should pay validation + O(layers) bookkeeping,
 //! not a payload decode.
 //!
-//! Two deserialisation paths over the same networks:
-//!
-//! * `v1_stream` — the PR-2 streaming format: unpack every nibble,
-//!   re-pack into owned matrices, copy every bias;
 //! * `v2_image` — `ImageView::open` + `QuantizedNet::from_image`:
-//!   validate, then borrow payloads zero-copy from the aligned buffer.
+//!   validate (CRC included), then borrow payloads zero-copy from the
+//!   aligned buffer, and serve the first logit; `v2_image_open_only`
+//!   stops before the forward;
+//! * `zoo_to_first_logit` over 1/3/8-model zoo images through
+//!   `ModelRegistry::load_zoo`, the serving cold-start end to end.
 //!
-//! Plus `zoo_to_first_logit` over 1/3/8-model zoo images through
-//! `ModelRegistry::load_zoo`, the serving cold-start end to end.
-//!
-//! Results are recorded in `BENCH_coldstart.json`; regenerate with
+//! `BENCH_coldstart.json` records an earlier run (it also holds rows of a
+//! since-removed v1 stream format); regenerate with
 //! `CRITERION_SHIM_OUT=path cargo bench -p mfdfp-bench --bench coldstart
 //! [--features parallel]`.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use mfdfp_core::{calibrate, from_bytes, to_bytes, to_image, ImageView, QuantizedNet, ZooBuilder};
+use mfdfp_core::{calibrate, to_image, ImageView, QuantizedNet, ZooBuilder};
 use mfdfp_dfp::AlignedBytes;
 use mfdfp_nn::zoo;
 use mfdfp_serve::ModelRegistry;
@@ -39,21 +37,13 @@ fn test_image() -> Tensor {
     TensorRng::seed_from(99).gaussian([3, 16, 16], 0.0, 0.6)
 }
 
-/// Bytes → first logit for one model, both formats.
+/// Bytes → first logit for one model.
 fn bench_model_coldstart(c: &mut Criterion) {
     let net = qnet(11);
-    let v1 = to_bytes(&net);
     let v2 = Arc::new(to_image(&net));
     let img = test_image();
 
     let mut group = c.benchmark_group("model_to_first_logit");
-    group.throughput(Throughput::Bytes(v1.len() as u64));
-    group.bench_function("v1_stream", |b| {
-        b.iter(|| {
-            let net = from_bytes(black_box(&v1)).expect("v1 decode");
-            black_box(net.logits(&img).expect("logits"))
-        })
-    });
     group.throughput(Throughput::Bytes(v2.len() as u64));
     group.bench_function("v2_image", |b| {
         b.iter(|| {
@@ -63,9 +53,6 @@ fn bench_model_coldstart(c: &mut Criterion) {
         })
     });
     // Deserialise only (no forward): the pure open cost.
-    group.bench_function("v1_stream_open_only", |b| {
-        b.iter(|| black_box(from_bytes(black_box(&v1)).expect("v1 decode")))
-    });
     group.bench_function("v2_image_open_only", |b| {
         b.iter(|| {
             let view = ImageView::open(Arc::clone(black_box(&v2))).expect("open");

@@ -45,8 +45,8 @@
 //! layout of [`PackedPow2Matrix`] — `rows × row_stride` bytes with the
 //! stride recorded in the layer entry — so serialisation is a `memcpy`
 //! and deserialisation is a bounds check. No nibble is unpacked or
-//! re-packed on either side (the v1 stream format behind [`crate::from_bytes`]
-//! is kept for migration).
+//! re-packed on either side. This is the only format a [`QuantizedNet`]
+//! is saved or loaded in.
 //!
 //! # Integrity
 //!
@@ -54,9 +54,9 @@
 //! ([`mfdfp_dfp::crc32`]) plus the marker `"CRC1"`, verified by
 //! [`ImageView::open`] / [`ZooView::open`] before any byte is trusted:
 //! a torn write or a single flipped bit anywhere yields a typed
-//! [`CoreError::BadImage`]. Images written before checksums existed
-//! (both fields zero) are still accepted; any other marker value is
-//! itself corruption. [`write_image_atomic`] completes the story on
+//! [`CoreError::BadImage`]. The check cannot be switched off: a header
+//! whose marker is anything but `"CRC1"` (zeroed included) is itself
+//! corruption. [`write_image_atomic`] completes the story on
 //! disk: tmp file + fsync + atomic rename, so readers only ever observe
 //! a complete image.
 //!
@@ -93,10 +93,10 @@ const HEADER_LEN: usize = 64;
 const LAYER_ENTRY_LEN: usize = 96;
 const ZOO_DIR_ENTRY_LEN: usize = 32;
 
-/// Marker bytes declaring that the header carries a CRC-32. A v2 image
-/// written before checksums leaves this field (and the CRC word) zero
-/// and is still accepted; any *other* value is corruption — so flipping
-/// a bit of the marker itself cannot silently disable the check.
+/// Marker bytes declaring that the header carries a CRC-32. Every
+/// writer stamps it and every reader requires it: any other value,
+/// zeroed included, is corruption — so neither flipping a bit of the
+/// marker nor zeroing the CRC fields can silently disable the check.
 const CRC_MARKER: [u8; 4] = *b"CRC1";
 /// Model header: CRC-32 word at 44..48, [`CRC_MARKER`] at 48..52.
 const IMAGE_CRC_OFF: usize = 44;
@@ -125,26 +125,20 @@ fn section_crc(img: &[u8], crc_off: usize) -> u32 {
 }
 
 /// Verifies the whole-section CRC of an image or zoo whose checksum word
-/// sits at `crc_off` (marker directly after it). Three-way rule:
-/// marker == `CRC1` → verify; marker and word both zero → legacy
-/// checksum-absent v2, accepted; anything else → corruption.
+/// sits at `crc_off` (marker directly after it): the marker must be
+/// `CRC1` and the stored word must match the bytes.
 fn verify_crc(img: &[u8], crc_off: usize, what: &str) -> Result<()> {
-    let marker = &img[crc_off + 4..crc_off + 8];
-    if marker == CRC_MARKER {
-        let stored = u32_at(img, crc_off);
-        let actual = section_crc(img, crc_off);
-        if stored != actual {
-            return Err(bad(format!(
-                "{what} checksum mismatch: header says {stored:#010x}, bytes hash to {actual:#010x}"
-            )));
-        }
-        Ok(())
-    } else if marker == [0u8; 4] && u32_at(img, crc_off) == 0 {
-        // A v2 image written before checksums existed: both fields zero.
-        Ok(())
-    } else {
-        Err(bad(format!("{what} checksum marker is corrupt")))
+    if img[crc_off + 4..crc_off + 8] != CRC_MARKER {
+        return Err(bad(format!("{what} checksum marker is corrupt")));
     }
+    let stored = u32_at(img, crc_off);
+    let actual = section_crc(img, crc_off);
+    if stored != actual {
+        return Err(bad(format!(
+            "{what} checksum mismatch: header says {stored:#010x}, bytes hash to {actual:#010x}"
+        )));
+    }
+    Ok(())
 }
 
 /// Stamps marker + CRC into a finished section (word at `crc_off` must

@@ -1,15 +1,12 @@
 //! Property-based tests of the v2 flat deployment image: the borrowed
 //! (zero-copy) construction path must be observationally identical to the
-//! owned path, v1 streams must migrate losslessly, and arbitrary
-//! corruption, truncation or misalignment must come back as typed
+//! owned path, and arbitrary corruption, truncation or misalignment —
+//! zeroed checksum fields included — must come back as typed
 //! [`CoreError::BadImage`] errors — never a panic, never undefined reads.
 
 use std::sync::Arc;
 
-use mfdfp_core::{
-    calibrate, from_bytes, to_bytes, to_image, CoreError, ImageView, QLayer, QuantizedNet,
-    ZooBuilder,
-};
+use mfdfp_core::{calibrate, to_image, CoreError, ImageView, QLayer, QuantizedNet, ZooBuilder};
 use mfdfp_dfp::AlignedBytes;
 use mfdfp_nn::zoo;
 use mfdfp_tensor::{Tensor, TensorRng};
@@ -60,21 +57,6 @@ proptest! {
         let mut rng = TensorRng::seed_from(seed ^ 0xD15EA5E);
         let img = rng.gaussian([3, 16, 16], 0.0, 0.7);
         prop_assert_eq!(logit_bits(&borrowed, &img), logit_bits(&owned, &img));
-    }
-
-    /// A v1 byte stream migrated through `from_bytes` → `to_image` →
-    /// `from_image` is equivalent to the original network.
-    #[test]
-    fn v1_stream_migrates_losslessly(seed in 0u64..1000) {
-        let owned = tiny_qnet(seed);
-        let v1 = from_bytes(&to_bytes(&owned)).unwrap();
-        let view = ImageView::open(Arc::new(to_image(&v1))).unwrap();
-        let migrated = QuantizedNet::from_image(&view).unwrap();
-
-        prop_assert_eq!(layer_payloads(&migrated), layer_payloads(&owned));
-        let mut rng = TensorRng::seed_from(seed.wrapping_mul(31));
-        let img = rng.gaussian([3, 16, 16], 0.0, 0.7);
-        prop_assert_eq!(logit_bits(&migrated, &img), logit_bits(&owned, &img));
     }
 
     /// Truncating an image anywhere is always detected as a typed error.
@@ -154,4 +136,61 @@ fn wrong_magic_and_version_are_rejected() {
         ImageView::open(Arc::new(AlignedBytes::from_slice(&bytes))),
         Err(CoreError::BadImage(_))
     ));
+}
+
+#[test]
+fn image_is_compact() {
+    let net = tiny_qnet(8);
+    let image = to_image(&net);
+    // Weights dominate and are nibble-packed: even with 64-byte section
+    // alignment the image must be well under the float parameter size.
+    let float_bytes = net
+        .layers()
+        .iter()
+        .map(|l| match l {
+            QLayer::Conv(c) => c.weights.count() * 4,
+            QLayer::Linear(l) => l.weights.count() * 4,
+            _ => 0,
+        })
+        .sum::<usize>();
+    assert!(image.len() < float_bytes / 2, "{} vs {float_bytes}", image.len());
+}
+
+/// Zeroing the CRC word and marker (header bytes 44..52) must not switch
+/// integrity checking off: a weight or bias byte flipped under zeroed
+/// checksum fields is still refused.
+#[test]
+fn zeroed_crc_fields_do_not_disable_verification() {
+    let image = to_image(&tiny_qnet(5));
+    let bytes = image.as_slice();
+    let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
+    // Header: n_layers at 12, layer-table offset at 32. Each 96-byte
+    // entry holds (w_off, w_len, b_off, b_count) at 56, 64, 72, 80.
+    let (n_layers, ltab_off) = (u32_at(12), u32_at(32));
+    let mut payload_bytes = Vec::new();
+    for i in 0..n_layers {
+        let e = ltab_off + i * 96;
+        let (w_off, w_len, b_off, b_count) =
+            (u64_at(e + 56), u64_at(e + 64), u64_at(e + 72), u64_at(e + 80));
+        if w_len > 0 {
+            payload_bytes.extend([w_off, w_off + w_len - 1, b_off, b_off + 8 * b_count - 1]);
+        }
+    }
+    assert!(!payload_bytes.is_empty(), "the net has weighted layers");
+
+    let zeroed_open = |mutate: &dyn Fn(&mut Vec<u8>)| {
+        let mut corrupt = bytes.to_vec();
+        mutate(&mut corrupt);
+        corrupt[44..52].fill(0);
+        ImageView::open(Arc::new(AlignedBytes::from_slice(&corrupt)))
+    };
+    for pos in payload_bytes {
+        assert!(
+            matches!(zeroed_open(&|b| b[pos] ^= 0x10), Err(CoreError::BadImage(_))),
+            "payload flip at byte {pos} under zeroed CRC fields was accepted"
+        );
+    }
+    // Zeroed fields alone (no payload damage) are refused too.
+    assert!(matches!(zeroed_open(&|_| {}), Err(CoreError::BadImage(_))));
 }

@@ -210,26 +210,6 @@ pub fn pack_nibbles(ws: &[Pow2Weight]) -> Vec<u8> {
     out
 }
 
-/// Unpacks `count` weights from nibble-packed bytes (inverse of
-/// [`pack_nibbles`]).
-///
-/// # Errors
-///
-/// Returns [`DfpError::LengthMismatch`] only if `count` exceeds the packed
-/// capacity.
-pub fn unpack_nibbles(bytes: &[u8], count: usize) -> Result<Vec<Pow2Weight>> {
-    if count > bytes.len() * 2 {
-        return Err(DfpError::LengthMismatch { expected: count, actual: bytes.len() * 2 });
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let byte = bytes[i / 2];
-        let nibble = if i % 2 == 0 { byte & 0xF } else { byte >> 4 };
-        out.push(Pow2Weight::decode4(nibble)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,9 +339,11 @@ mod tests {
             .collect();
         let packed = pack_nibbles(&ws);
         assert_eq!(packed.len(), 4); // ceil(7/2)
-        let back = unpack_nibbles(&packed, ws.len()).unwrap();
+        let back: Vec<Pow2Weight> = (0..ws.len())
+            .map(|i| Pow2Weight::decode4((packed[i / 2] >> (4 * (i % 2))) & 0xF).unwrap())
+            .collect();
         assert_eq!(back, ws);
-        assert!(unpack_nibbles(&packed, 9).is_err());
+        assert_eq!(packed[3] >> 4, 0, "odd tail's pad nibble must be zero");
     }
 
     #[test]

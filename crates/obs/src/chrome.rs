@@ -42,7 +42,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
              \"ts\":{}.{:03},\"dur\":{}.{:03},\"args\":{{\"arg\":{}}}}}",
-            escape(e.label),
+            json_escape(e.label),
             e.thread,
             e.start_ns / 1000,
             e.start_ns % 1000,
@@ -55,10 +55,11 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Minimal JSON string escaping. Span labels are static identifiers the
-/// instrumentation sites control, but the exporter stays correct for any
-/// `&'static str`.
-fn escape(s: &str) -> String {
+/// Minimal JSON string escaping — the one escaper of the workspace: span
+/// labels here, and the serving tier's model names, health surface and
+/// HTTP bodies. Quote and backslash take their short escapes, every other
+/// control character its `\u00XX` form.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -103,6 +104,6 @@ mod tests {
 
     #[test]
     fn escapes_hostile_labels() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 }

@@ -57,7 +57,7 @@ mod chrome;
 pub mod ops;
 mod recorder;
 
-pub use chrome::chrome_trace_json;
+pub use chrome::{chrome_trace_json, json_escape};
 pub use ops::OpCounters;
 pub use recorder::{dump, now_ns, record_complete, ring_capacity, Span};
 

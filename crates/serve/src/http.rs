@@ -49,9 +49,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mfdfp_obs::json_escape;
+
 use crate::config::HttpConfig;
 use crate::error::{Result, ServeError};
-use crate::metrics::json_escape;
 use crate::server::{Priority, Server, SubmitOptions};
 
 /// A fully parsed HTTP/1.1 request.

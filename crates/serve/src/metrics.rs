@@ -39,7 +39,7 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use mfdfp_accel::{OpCostModel, OpEnergyEstimate};
-use mfdfp_obs::OpCounters;
+use mfdfp_obs::{json_escape, OpCounters};
 
 /// Number of log2 latency buckets: bucket `i` covers `[2^i, 2^{i+1})` µs
 /// (bucket 0 also absorbs sub-microsecond latencies), so the top bucket
@@ -659,23 +659,6 @@ pub struct MetricsSnapshot {
     pub pool_steals: u64,
     /// Times a pool worker parked on an empty queue.
     pub pool_idle_parks: u64,
-}
-
-/// Minimal JSON string escaping — the one escaper of the serving tier:
-/// model names here (labels under the caller's control, but the exporter
-/// stays correct for any name), the health surface, and the HTTP
-/// front-end's error bodies and model listings.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn stage_json(s: &StageSnapshot) -> String {

@@ -529,7 +529,7 @@ impl HealthSnapshot {
                         "\"{}\":{{\"state\":\"{}\",\"consecutive_failures\":{},",
                         "\"retry_in_ms\":{:.3},\"opens\":{}}}"
                     ),
-                    crate::metrics::json_escape(name),
+                    mfdfp_obs::json_escape(name),
                     b.state.name(),
                     b.consecutive_failures,
                     b.retry_in.unwrap_or_default().as_secs_f64() * 1000.0,

@@ -89,29 +89,26 @@ fn single_byte_flip_in_a_model_image_is_rejected_typed() {
     }
 }
 
-/// Backward compatibility: a pre-checksum v2 image leaves the CRC word
-/// and marker zero; such images still load, and serve bit-identically.
+/// The checksum cannot be switched off: zeroing the zoo's CRC word
+/// (32..36) and marker (36..40) is itself corruption, so the zoo is
+/// refused before anything is registered — with or without further
+/// damage to the directory's name blob, which no model-image CRC covers.
 #[test]
-fn legacy_unchecksummed_zoo_still_loads_and_serves_bit_exact() {
-    let (nets, mut bytes) = two_model_zoo();
-    // Zero the zoo-level CRC word (32..36) and marker (36..40): the
-    // legacy layout. The embedded model images keep their own CRCs.
-    bytes[32..40].fill(0);
-
-    let registry = Arc::new(ModelRegistry::new());
-    let names = registry.load_zoo_bytes(&bytes).unwrap();
-    assert_eq!(names, vec!["m0", "m1"]);
-
-    let server = Server::start(Arc::clone(&registry), ServeConfig::default()).unwrap();
-    let img = TensorRng::seed_from(9).gaussian([3, 16, 16], 0.0, 0.7);
-    for (name, net) in &nets {
-        let response = server.submit(name, img.clone()).unwrap().wait().unwrap();
-        assert_eq!(bits(&response.logits), bits(&net.logits(&img).unwrap()));
+fn zeroed_crc_fields_in_a_zoo_are_refused() {
+    let (_, bytes) = two_model_zoo();
+    let name_off = u32::from_le_bytes(bytes[64..68].try_into().unwrap()) as usize; // entry 0
+    for rename in [false, true] {
+        let mut zeroed = bytes.clone();
+        zeroed[32..40].fill(0);
+        if rename {
+            zeroed[name_off] ^= 0x01; // "m0" → "l0"
+        }
+        let registry = ModelRegistry::new();
+        assert!(registry.load_zoo_bytes(&zeroed).is_err(), "rename={rename}: zeroed CRC accepted");
+        assert!(registry.is_empty());
     }
-    server.shutdown();
 
-    // But once stamped, the marker makes verification mandatory: a
-    // zeroed word *with* the marker present must be rejected.
+    // A zeroed word *with* the marker present is rejected as well.
     let (_, mut stamped) = two_model_zoo();
     stamped[32..36].fill(0); // word zeroed, marker "CRC1" intact
     assert!(ModelRegistry::new().load_zoo_bytes(&stamped).is_err());
