@@ -125,6 +125,45 @@ fn bench_qgemm_256(c: &mut Criterion) {
     group.finish();
 }
 
+/// The kernel entry on the three conv layers of the paper's `cifar10_full`
+/// at B=8 (rows × k × fused columns): the per-shape figure behind the
+/// benchmark's `cifar10-offline` workload, without the rest of the
+/// forward. Random codes use all 16 (sign, shift) buckets.
+fn bench_qgemm_cifar10_full(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qgemm_cifar10_full");
+    for (name, rows, k, ncols) in
+        [("conv1_b8", 32, 75, 8192), ("conv2_b8", 32, 800, 2048), ("conv3_b8", 64, 800, 512)]
+    {
+        let mut next = xorshift((rows * k) as u64);
+        let codes: Vec<Pow2Weight> =
+            (0..rows * k).map(|_| Pow2Weight::decode4((next() % 16) as u8).unwrap()).collect();
+        let w = PackedPow2Matrix::from_weights(rows, k, &codes).expect("packed weights");
+        let xt: Vec<i8> = (0..k * ncols).map(|_| (next() % 256) as u8 as i8).collect();
+        let bias = vec![0i64; rows];
+        let mut out = vec![0i8; rows * ncols];
+        group.throughput(Throughput::Elements((rows * k * ncols) as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                qgemm_fused_into_i8(
+                    black_box(&w),
+                    0,
+                    rows,
+                    black_box(&xt),
+                    ncols / 8,
+                    8,
+                    &bias,
+                    7 + 7,
+                    4,
+                    &mut out,
+                )
+                .expect("qgemm");
+                black_box(&mut out);
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Whole-network effect: integer forward pass of the quantized net on the
 /// packed path vs the decode-based adder-tree reference datapath.
 fn bench_qnet_forward(c: &mut Criterion) {
@@ -185,5 +224,11 @@ fn bench_batched_forward(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qgemm_256, bench_qnet_forward, bench_batched_forward);
+criterion_group!(
+    benches,
+    bench_qgemm_256,
+    bench_qgemm_cifar10_full,
+    bench_qnet_forward,
+    bench_batched_forward
+);
 criterion_main!(benches);

@@ -37,6 +37,7 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for i8 {}
     impl Sealed for u8 {}
+    impl Sealed for i16 {}
     impl Sealed for i32 {}
     impl Sealed for u32 {}
     impl Sealed for i64 {}
@@ -48,11 +49,12 @@ mod sealed {
 /// [`AlignedBytes`] region: fixed-size numeric types with no padding,
 /// no invalid bit patterns and no drop glue.
 ///
-/// Sealed — implemented for `i8`, `u8`, `i32`, `u32`, `i64`, `u64`,
-/// `f32`.
+/// Sealed — implemented for `i8`, `u8`, `i16`, `i32`, `u32`, `i64`,
+/// `u64`, `f32`.
 pub trait Pod: sealed::Sealed + Copy + Send + Sync + 'static {}
 impl Pod for i8 {}
 impl Pod for u8 {}
+impl Pod for i16 {}
 impl Pod for i32 {}
 impl Pod for u32 {}
 impl Pod for i64 {}

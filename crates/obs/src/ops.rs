@@ -2,7 +2,12 @@
 //!
 //! The paper's core argument is about *operation energy* — a shift-add
 //! MAC costs a fraction of a float multiply-add — so the runtime counts
-//! the operations it actually executes. Recording is **amortized**: the
+//! the operations its layers perform. Shift-MACs are the paper
+//! accelerator's **logical** operations, one per (output, synapse) pair,
+//! which the energy model prices; they are not the CPU instructions the
+//! qgemm kernel issues (it adds activations into per-exponent buckets
+//! and shifts each bucket once, so it executes far fewer shifts than
+//! MACs it accounts for). Recording is **amortized**: the
 //! qgemm band kernel adds `rows·k·ncols` once per band call, the conv
 //! layer adds one gather's bytes per group — one `fetch_add` per kernel
 //! entry, never one per MAC. `accel::energy::OpCostModel` converts a
@@ -17,8 +22,9 @@
 /// A point-in-time view of the process-wide op counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
-    /// Shift-add MACs executed by the packed qgemm band kernel
-    /// (`rows·k·ncols` per band, counted at dispatch).
+    /// Logical shift-add MACs of the packed qgemm band kernel
+    /// (`rows·k·ncols` per band, counted at dispatch) — the accelerator's
+    /// operation count, independent of how the CPU kernel groups them.
     pub shift_macs: u64,
     /// `i8` im2col bytes gathered into conv staging buffers.
     pub im2col_bytes: u64,
@@ -64,7 +70,9 @@ mod imp {
     static DECODE_ROWS: AtomicU64 = AtomicU64::new(0);
     static OVERFLOW_AUDITS: AtomicU64 = AtomicU64::new(0);
 
-    /// Adds `n` shift-add MACs (one call per qgemm band).
+    /// Adds `n` logical shift-add MACs (one call per qgemm band, `n =
+    /// rows·k·ncols`): what the paper's accelerator would execute, not
+    /// the kernel's CPU instruction count.
     #[inline]
     pub fn record_shift_macs(n: u64) {
         SHIFT_MACS.fetch_add(n, Ordering::Relaxed);

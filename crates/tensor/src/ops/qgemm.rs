@@ -6,47 +6,75 @@
 //! [`mul_shift`](mfdfp_dfp::Pow2Weight::mul_shift); correct, but the
 //! hottest loop in the system pays decode and branch cost on every
 //! synapse. This kernel instead streams the packed bytes of a
-//! [`PackedPow2Matrix`] and resolves each nibble code `c` through two
-//! 16-entry tables — **no branch and no multiply anywhere in the loop**:
+//! [`PackedPow2Matrix`] and never forms a per-synapse product at all.
 //!
-//! * `SHIFT[c]` — the left-shift amount `e + 7 ∈ [0, 7]` (bits 2..0 of
-//!   the code store `−e`),
-//! * `SIGN_MASK[c]` — an all-ones/all-zero mask (bit 3 of the code stores
-//!   the sign); the product is `((x << SHIFT[c]) ^ m) − m`, the classic
-//!   branch-free negate-by-mask, splitting each contribution onto the
-//!   positive or negative side of the accumulation.
+//! A 4-bit code `q` is a (sign, shift) pair: bit 3 stores the sign and
+//! `SHIFT[q] = e + 7 ∈ [0, 7]` the left shift (bits 2..0 store `−e`), so a
+//! layer has only 16 distinct weights. The products are exact integers
+//! (`±x << SHIFT[q]`, no per-product truncation), so a dot product
+//! regroups with no change in result:
 //!
-//! The loop nest is arranged so the table lookups happen **once per
-//! weight nibble, not once per MAC**: activations arrive in the standard
-//! im2col layout (`k × ncols`, one synapse's values across all output
-//! columns contiguous), the nibble's shift amount and sign mask hoist out
-//! of the column loop, and what remains per MAC is `shift, xor, sub, add`
-//! with a loop-invariant shift count — a shape LLVM auto-vectorizes.
-//! Partial sums accumulate in 32-bit lanes (products fit 16 bits, so
-//! 2^14-synapse chunks cannot overflow) and flush to the 64-bit
-//! accumulator per chunk; the row result plus bias is routed to the 8-bit
-//! output exactly like the hardware's "Accumulator & Routing" block.
-//! Because the products are the same integers the decode path computes
-//! and integer addition is associative, the result is **bit-identical**
-//! to the decode-based reference for every input (property-tested in
-//! `crates/accel/tests/qgemm_equivalence.rs`).
+//! ```text
+//! Σ_c w_c · x_c  =  Σ_q ±(Σ_{c : code(c) = q} x_c) << SHIFT[q]
+//! ```
 //!
-//! Activations enter as raw 8-bit codes in the im2col layout and are
-//! widened in register; the kernel's accumulator lanes live in per-thread
-//! scratch (`with_acc_lanes` in the [`crate::workspace`] module), so a
-//! warmed thread — e.g. a persistent `mfdfp-rt` pool worker — runs the
-//! kernel with zero heap allocations. [`qgemm_fused_into_i8`] is the one
-//! entry: a single image is the fused batch of one.
+//! The kernel is that regrouping — ShiftAddNet's shift/add split applied
+//! to the paper's Fig. 2(a) shifters → adder tree → accumulator:
+//!
+//! * **Add.** Per synapse, the 8-bit activation codes of one column tile
+//!   (`TILE` columns of the im2col row) are added into the bucket of the
+//!   synapse's weight code — `i16` lanes, adds only: no shift, no sign,
+//!   no multiply, no table lookup beyond the nibble itself. A bucket is
+//!   restarted (by assignment) the first time its code appears in an
+//!   epoch of `EPOCH` synapses, so unused codes cost nothing.
+//! * **Shift.** After each epoch every used bucket folds into the `i32`
+//!   partial lanes with one shift and one add or subtract,
+//!   `acc32 ± (bucket << SHIFT[q])`: at most 16 shifts per output per
+//!   epoch instead of one per synapse.
+//! * **Route.** The `i32` partials flush to the 64-bit accumulator every
+//!   `ACC32_CHUNK` synapses; the row result plus bias is routed to the
+//!   8-bit output exactly like the hardware's "Accumulator & Routing"
+//!   block.
+//!
+//! Loop nest: column tiles outermost, then output rows, epochs and
+//! synapses. A tile's activation codes (`k × TILE` bytes) are reused by
+//! every output row of the band, and the 16 buckets (`16 × TILE` `i16`,
+//! 8 KiB) stay in L1. Every output element sums the same integers the
+//! decode path does, in an order fixed by `k` and the weight codes alone,
+//! so the result is **bit-identical** to the decode-based reference for
+//! every input (property-tested in `crates/accel/tests/qgemm_equivalence.rs`
+//! and, across epoch and tile boundaries, in
+//! `crates/tensor/tests/qgemm_properties.rs`).
+//!
+//! The body is portable Rust compiled twice: as is, and on `x86_64` under
+//! `#[target_feature(enable = "avx2")]`, where the bucket adds and folds
+//! run 16 `i16` lanes per instruction. Integer adds and shifts mean the
+//! same at any vector width, so both instantiations produce the same
+//! bits; each band call picks one once, never per synapse. The bucket and
+//! accumulator lanes — one tile wide — live in per-thread scratch
+//! (`with_acc_lanes` in the [`crate::workspace`] module), so a warmed
+//! thread — e.g. a persistent `mfdfp-rt` pool worker — runs the kernel
+//! with zero heap allocations. [`qgemm_fused_into_i8`] is the one entry:
+//! a single image is the fused batch of one.
 //!
 //! Audits, derived for the `i8` operand width:
 //!
 //! * **Operands — structural.** Every code satisfies `|x| ≤ 128` and every
 //!   shift amount `sh ≤ 7`, so each product obeys `|p| ≤ 2^14`: it fits
-//!   the 16-bit product register (and the `i16` lanes the MAC body
-//!   stages it in) by construction, and no operand scan runs.
-//! * **Partial sums.** Chunks of `ACC32_CHUNK` = `2^14` products sum to
-//!   at most `2^28` in magnitude, inside the `i32` partial lanes, before
-//!   each chunk flushes to the 64-bit accumulator.
+//!   the 16-bit product register by construction, and no operand scan
+//!   runs.
+//! * **Buckets.** An epoch adds at most `EPOCH` = 256 codes into one
+//!   bucket, so `|bucket| ≤ 256 · 128 = 2^15`. The edge is exact: 256
+//!   codes of −128 on one weight code sum to −32768 = `i16::MIN`, which
+//!   the `i16` lane holds, while the positive side stops at
+//!   256 · 127 = 32512. One more synapse per epoch could overflow.
+//! * **Fold.** `|bucket << SHIFT[q]| ≤ 2^15 · 2^7 = 2^22`, and since the
+//!   buckets of an epoch partition its ≤ 256 synapses, each product
+//!   `≤ 2^14`, one epoch's folded sum is at most `256 · 2^14 = 2^22`.
+//! * **Partial sums.** Chunks of `ACC32_CHUNK` = `2^16` synapses (256
+//!   epochs) sum to at most `2^16 · 2^14 = 2^30` in magnitude, inside the
+//!   `i32` partial lanes, before each chunk flushes to the 64-bit
+//!   accumulator. Every layer here has `k < 2^16`: one flush per output.
 //! * **Accumulator.** Each routed output (bias included) is checked
 //!   against the 32-bit accumulator register;
 //!   [`TensorError::QuantizedOverflow`] mirrors the decode path's
@@ -65,84 +93,32 @@ use mfdfp_dfp::{fits_in_bits, realign, saturate, PackedPow2Matrix, ACCUMULATOR_B
 use crate::error::{Result, TensorError};
 use crate::workspace::with_acc_lanes;
 
-/// Row width below which the multiversioned SIMD body is not worth its
-/// call overhead: narrow rows — above all `ncols = 1`, every single-image
-/// `ShiftLinear` — take the always-inlined scalar body instead, so the
-/// feature check and the non-inlinable `#[target_feature]` call are
-/// hoisted out of the per-synapse path exactly where they cannot pay.
-const SIMD_MIN_ROW: usize = 16;
-
-/// One synapse's contribution across a whole activation row:
-/// `acc[j] += ((x[j] << sh) ^ m) − m` — the negate-by-mask MAC body. The
-/// shifted product of an 8-bit code fits 16 bits (`|x| ≤ 128`, `sh ≤ 7`
-/// ⇒ `|x << sh| ≤ 2^14`), so the shift and the negate-by-mask run at
-/// `i16` width and only the final accumulate widens to 32 bits — exact at
-/// every step, with twice the SIMD lanes of an `i32` body.
-#[inline]
-fn accumulate_row(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
-    #[cfg(target_arch = "x86_64")]
-    if xrow.len() >= SIMD_MIN_ROW && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement is runtime-checked just above
-        // (the detection result is cached by std, so this is a load and
-        // branch, not a CPUID, on the hot path).
-        unsafe { accumulate_row_avx2(acc, xrow, sh, m) };
-        return;
-    }
-    let m16 = m as i16;
-    for (a, &x) in acc.iter_mut().zip(xrow) {
-        let p = (((x as i16) << sh) ^ m16) - m16;
-        *a += p as i32;
-    }
-}
-
-/// The MAC body compiled with AVX2 codegen: identical Rust to the
-/// portable body in [`accumulate_row`], so results are bit-identical —
-/// integer shift/xor/sub/add do not change meaning with vector width;
-/// only the throughput does (the `i16`-staged shift/negate runs 16 lanes
-/// per instruction).
-///
-/// # Safety
-///
-/// Callers must have verified AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_row_avx2(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
-    let m16 = m as i16;
-    for (a, &x) in acc.iter_mut().zip(xrow) {
-        let p = (((x as i16) << sh) ^ m16) - m16;
-        *a += p as i32;
-    }
-}
-
 /// Left-shift amount per 4-bit code: `e + 7` where `e = −(code & 7)`.
 const SHIFT: [u32; 16] = build_shift_table();
-/// Negate-by-mask operand per 4-bit code: `-1` (all ones) for
-/// negative-sign codes (bit 3 set), `0` otherwise; the signed product is
-/// `(shifted ^ mask) − mask`.
-const SIGN_MASK: [i32; 16] = build_sign_table();
 
-/// Synapse-chunk length for the 32-bit partial accumulators: `i8`
-/// products are bounded by `2^14`, so `2^14` of them reach at most `2^28`
-/// in magnitude — safely inside `i32` — before flushing to the 64-bit
-/// accumulator.
-const ACC32_CHUNK: usize = 1 << 14;
+/// Number of (sign, shift) buckets: one per 4-bit weight code.
+const BUCKETS: usize = 16;
+
+/// Column-tile width: the buckets of one tile (`BUCKETS × TILE` `i16`)
+/// stay L1-resident while a tile's activation codes are reused across
+/// every output row of the band.
+const TILE: usize = 256;
+
+/// Synapses per bucket epoch: 256 codes of magnitude ≤ 128 sum to at most
+/// `2^15` — the exact reach of an `i16` bucket (see the module audits).
+const EPOCH: usize = 256;
+
+/// Synapse-chunk length for the 32-bit partial accumulators: one epoch
+/// folds to at most `2^22`, so `2^16` synapses (256 epochs) reach at most
+/// `2^30` in magnitude — safely inside `i32` — before flushing to the
+/// 64-bit accumulator.
+const ACC32_CHUNK: usize = 1 << 16;
 
 const fn build_shift_table() -> [u32; 16] {
     let mut t = [0u32; 16];
     let mut c = 0;
     while c < 16 {
         t[c] = 7 - (c as u32 & 7);
-        c += 1;
-    }
-    t
-}
-
-const fn build_sign_table() -> [i32; 16] {
-    let mut t = [0i32; 16];
-    let mut c = 0;
-    while c < 16 {
-        t[c] = if c & 8 != 0 { -1 } else { 0 };
         c += 1;
     }
     t
@@ -180,22 +156,13 @@ fn qgemm_check(
 
 /// The serial band kernel: computes output rows `[band0, band0 + rows)` of
 /// the packed product into `out` (`rows × ncols`, row-major activation
-/// codes). `bias` is indexed relative to the band. The `i8` codes are
-/// widened in register, one sign-extending load per MAC.
+/// codes). `bias` is indexed relative to the band.
 ///
-/// Loop nest: per weight nibble, the shift amount and sign mask are
-/// resolved **once** and applied across the whole activation row (the
-/// im2col layout makes that row contiguous); the per-MAC body is
-/// `widen, shift, xor, sub, add` with a loop-invariant shift count —
-/// branch-free, multiplier-free, and auto-vectorizable. Each synapse
-/// contributes on its sign's side of the accumulation via negate-by-mask;
-/// the pad nibble of an odd-length row is never read because `c` stops at
-/// `cols`.
-///
-/// The accumulator lanes come from the calling thread's persistent
-/// scratch ([`with_acc_lanes`]) — the parallel dispatcher runs one band
-/// per pool thread, so after each thread's first call the kernel
-/// allocates nothing.
+/// Records the band's logical shift-MACs, borrows the calling thread's
+/// tile-wide scratch ([`with_acc_lanes`]) — the parallel dispatcher runs
+/// one band per pool thread, so after each thread's first call the kernel
+/// allocates nothing — and runs the exponent-bucketed body, choosing its
+/// AVX2 instantiation once per call when the CPU has it.
 #[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
 fn qgemm_band(
     w: &PackedPow2Matrix,
@@ -208,27 +175,120 @@ fn qgemm_band(
     out_frac: i32,
     out: &mut [i8],
 ) -> Result<()> {
-    let k = w.cols();
     // Op-count telemetry, amortized: one fetch_add per band call (the
-    // parallel dispatcher calls once per row chunk), never per MAC.
-    mfdfp_obs::ops::record_shift_macs((rows * k * ncols) as u64);
-    with_acc_lanes(ncols, |acc64, acc32| {
-        for r in 0..rows {
-            let wrow = w.row_bytes(band0 + r);
-            acc64.fill(bias[r]);
+    // parallel dispatcher calls once per row chunk), never per MAC. The
+    // count is the paper accelerator's logical shift-MACs, `rows · k ·
+    // ncols`, which the energy model prices — not the adds and shifts
+    // this body issues on the CPU.
+    mfdfp_obs::ops::record_shift_macs((rows * w.cols() * ncols) as u64);
+    let band = Band { w, band0, rows, xt, ncols, bias, acc_frac, out_frac };
+    with_acc_lanes(ncols.min(TILE), BUCKETS, |acc64, acc32, buckets| {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was detected at runtime just above.
+            return unsafe { band_avx2(&band, out, acc64, acc32, buckets) };
+        }
+        band_body(&band, out, acc64, acc32, buckets)
+    })
+}
+
+/// One band call's operands: output rows `[band0, band0 + rows)` of the
+/// packed product over the `k × ncols` activation codes `xt`, with
+/// band-relative `bias` and the routing stage's radix signals.
+struct Band<'a> {
+    w: &'a PackedPow2Matrix,
+    band0: usize,
+    rows: usize,
+    xt: &'a [i8],
+    ncols: usize,
+    bias: &'a [i64],
+    acc_frac: i32,
+    out_frac: i32,
+}
+
+/// The bucketed body compiled with AVX2 codegen: the same Rust as
+/// [`band_body`], so the same bits — only the vector width differs.
+///
+/// # Safety
+///
+/// Callers must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn band_avx2(
+    band: &Band<'_>,
+    out: &mut [i8],
+    acc64: &mut [i64],
+    acc32: &mut [i32],
+    buckets: &mut [i16],
+) -> Result<()> {
+    band_body(band, out, acc64, acc32, buckets)
+}
+
+/// The exponent-bucketed band body (see the module docs), called
+/// directly as the portable instantiation. `acc64` and
+/// `acc32` are at least one tile wide (`min(ncols, TILE)`), `buckets`
+/// holds `BUCKETS` lanes of that width. Each column's sum depends only on
+/// the synapse order and the weight codes, never on which tile holds the
+/// column; the pad nibble of an odd-length row is never read because `c`
+/// stops at `k`.
+#[inline(always)]
+fn band_body(
+    band: &Band<'_>,
+    out: &mut [i8],
+    acc64: &mut [i64],
+    acc32: &mut [i32],
+    buckets: &mut [i16],
+) -> Result<()> {
+    let (k, ncols) = (band.w.cols(), band.ncols);
+    for j0 in (0..ncols).step_by(TILE) {
+        let tw = TILE.min(ncols - j0);
+        let (acc64, acc32) = (&mut acc64[..tw], &mut acc32[..tw]);
+        for r in 0..band.rows {
+            let wrow = band.w.row_bytes(band.band0 + r);
+            acc64.fill(band.bias[r]);
             for c0 in (0..k).step_by(ACC32_CHUNK) {
                 let c1 = (c0 + ACC32_CHUNK).min(k);
                 acc32.fill(0);
-                for c in c0..c1 {
-                    let code = ((wrow[c >> 1] >> ((c & 1) * 4)) & 0xF) as usize;
-                    let xrow = &xt[c * ncols..(c + 1) * ncols];
-                    accumulate_row(acc32, xrow, SHIFT[code], SIGN_MASK[code]);
+                for e0 in (c0..c1).step_by(EPOCH) {
+                    // Add: each synapse's tile of codes into its bucket.
+                    let mut used = 0u16;
+                    for c in e0..(e0 + EPOCH).min(c1) {
+                        let code = ((wrow[c >> 1] >> ((c & 1) * 4)) & 0xF) as usize;
+                        let xs = &band.xt[c * ncols + j0..][..tw];
+                        let bucket = &mut buckets[code * tw..][..tw];
+                        if used & (1 << code) == 0 {
+                            used |= 1 << code;
+                            for (s, &x) in bucket.iter_mut().zip(xs) {
+                                *s = x as i16;
+                            }
+                        } else {
+                            for (s, &x) in bucket.iter_mut().zip(xs) {
+                                *s += x as i16;
+                            }
+                        }
+                    }
+                    // Shift: fold each used bucket once, on its sign's side.
+                    while used != 0 {
+                        let code = used.trailing_zeros() as usize;
+                        used &= used - 1;
+                        let (bucket, sh) = (&buckets[code * tw..][..tw], SHIFT[code]);
+                        if code & 8 == 0 {
+                            for (a, &s) in acc32.iter_mut().zip(bucket) {
+                                *a += (s as i32) << sh;
+                            }
+                        } else {
+                            for (a, &s) in acc32.iter_mut().zip(bucket) {
+                                *a -= (s as i32) << sh;
+                            }
+                        }
+                    }
                 }
                 for (a64, &a32) in acc64.iter_mut().zip(acc32.iter()) {
                     *a64 += a32 as i64;
                 }
             }
-            let orow = &mut out[r * ncols..(r + 1) * ncols];
+            let orow = &mut out[r * ncols + j0..][..tw];
             for (o, &acc) in orow.iter_mut().zip(acc64.iter()) {
                 if !fits_in_bits(acc, ACCUMULATOR_BITS) {
                     mfdfp_obs::ops::record_overflow_audit();
@@ -237,11 +297,11 @@ fn qgemm_band(
                         bits: ACCUMULATOR_BITS,
                     });
                 }
-                *o = saturate(realign(acc, acc_frac, out_frac), 8) as i8;
+                *o = saturate(realign(acc, band.acc_frac, band.out_frac), 8) as i8;
             }
         }
-        Ok(())
-    })
+    }
+    Ok(())
 }
 
 /// The packed shift-only GEMM: computes output rows `[row0, row0 + rows)`
@@ -255,8 +315,8 @@ fn qgemm_band(
 ///   `k × (ncols_per_image · batch)` row-major, the batch interleaved
 ///   innermost (column `j = p · batch + b` is output pixel `p` of image
 ///   `b`), so one synapse's activations across all columns are contiguous
-///   and the per-nibble tables hoist out of the column loop. With
-///   `batch = 1` this is the plain per-image im2col matrix.
+///   and a column tile of them adds into one bucket per weight nibble.
+///   With `batch = 1` this is the plain per-image im2col matrix.
 /// * `bias` — `rows` accumulator-format biases (fractional length
 ///   `acc_frac`), relative to the band.
 /// * `acc_frac`/`out_frac` — the radix control signals `m + 7` and `n` of
@@ -265,19 +325,20 @@ fn qgemm_band(
 ///   interleaved order, ready to be the next layer's input.
 ///
 /// **Bit-identity contract.** The band kernel computes every output
-/// element by walking synapses `c = 0..k` in a fixed order that chunks
-/// over `k` only — the column count never changes the per-element
-/// accumulation order. A fused call therefore yields, column for column,
-/// exactly the integers `batch` single-image calls produce (property-
-/// tested in `crates/tensor/tests/properties.rs`), and the shift-MAC
-/// telemetry `rows · k · (ncols_per_image · batch)` equals the sum of the
-/// per-image counts.
+/// element from its own column of activations, bucketed by epochs and
+/// chunks over `k` only — the column count and the tile a column lands
+/// in never change the per-element arithmetic. A fused call therefore
+/// yields, column for column, exactly the integers `batch` single-image
+/// calls produce (property-tested in `crates/tensor/tests/properties.rs`),
+/// and the shift-MAC telemetry `rows · k · (ncols_per_image · batch)`
+/// equals the sum of the per-image counts.
 ///
-/// What fusion buys is dispatch shape, not arithmetic: the MAC rows are
-/// `batch`× longer (deeper SIMD per nibble decode) and, with the
-/// `parallel` cargo feature, the row-banded threshold of the shared `par`
-/// module sees the whole layer-batch product, so the pool splits
-/// per-layer work by output row — bit-identical to the serial kernel.
+/// What fusion buys is dispatch shape, not arithmetic: the activation
+/// rows are `batch`× longer (fuller column tiles, so more SIMD lanes per
+/// nibble decode and per bucket fold) and, with the `parallel` cargo
+/// feature, the row-banded threshold of the shared `par` module sees the
+/// whole layer-batch product, so the pool splits per-layer work by output
+/// row — bit-identical to the serial kernel.
 ///
 /// # Errors
 ///
@@ -626,6 +687,89 @@ mod tests {
         let xt = [-128i8, 127, -128, 127, -128, 127, -128, 127];
         let bias = vec![0i64; 3];
         assert_eq!(product(&w, &xt, 1, &bias, 10, 3).unwrap(), reference(&w, &xt, 1, &bias, 10, 3));
+    }
+
+    /// Shapes that cross bucket epochs (`k` around multiples of `EPOCH`)
+    /// and column tiles (`ncols` around multiples of `TILE`).
+    const EDGE_KS: [usize; 7] = [255, 256, 257, 511, 512, 513, 800];
+    const EDGE_NCOLS: [usize; 5] = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3];
+
+    /// A band body instantiation (the portable one coerces to this too).
+    type Body = unsafe fn(&Band<'_>, &mut [i8], &mut [i64], &mut [i32], &mut [i16]) -> Result<()>;
+
+    /// Runs one band through every body instantiation this CPU can run —
+    /// the portable one always, the AVX2 one when detected — each on
+    /// fresh lanes exactly one tile wide.
+    fn instantiations(
+        w: &PackedPow2Matrix,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+    ) -> Vec<(&'static str, Vec<i8>)> {
+        let band = Band { w, band0: 0, rows: w.rows(), xt, ncols, bias, acc_frac, out_frac };
+        let width = ncols.min(TILE);
+        let mut bodies: Vec<(&str, Body)> = vec![("portable", band_body)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push(("avx2", band_avx2));
+        }
+        bodies
+            .into_iter()
+            .map(|(name, body)| {
+                let mut out = vec![0i8; w.rows() * ncols];
+                let (mut acc64, mut acc32) = (vec![0i64; width], vec![0i32; width]);
+                let mut buckets = vec![0i16; BUCKETS * width];
+                // SAFETY: the AVX2 body is listed only when AVX2 support
+                // was detected at runtime; the portable body is safe.
+                unsafe { body(&band, &mut out, &mut acc64, &mut acc32, &mut buckets) }.unwrap();
+                (name, out)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn body_instantiations_match_decode_oracle_across_epochs_and_tiles() {
+        for k in EDGE_KS {
+            for ncols in EDGE_NCOLS {
+                let w = codes_matrix(3, k, (k * 131 + ncols) as u64);
+                let xt = inputs(k * ncols, (k ^ ncols) as u64);
+                let bias = [-300i64, 0, 4096];
+                let want = reference(&w, &xt, ncols, &bias, 13, 4);
+                for (name, got) in instantiations(&w, &xt, ncols, &bias, 13, 4) {
+                    assert_eq!(got, want, "{name}: k={k} ncols={ncols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn body_instantiations_hold_the_i16_bucket_edge() {
+        // Every synapse on one code and every activation on a rail: one
+        // bucket per epoch sums 256 codes of -128 to exactly -32768 (or
+        // 256 of 127 to 32512). A bias cancelling the exact sum makes the
+        // routed output the offset 5 — any lost bit moves it.
+        for k in [256, 257, 512] {
+            for ncols in [1, TILE + 1] {
+                for code in 0..16u8 {
+                    let wgt = Pow2Weight::decode4(code).unwrap();
+                    let w = PackedPow2Matrix::from_weights(1, k, &vec![wgt; k]).unwrap();
+                    for x in [-128i8, 127] {
+                        let xt = vec![x; k * ncols];
+                        let exact = k as i64 * wgt.mul_shift(x as i32) as i64;
+                        let bias = [5 - exact];
+                        for (name, got) in instantiations(&w, &xt, ncols, &bias, 7, 7) {
+                            assert_eq!(got, vec![5; ncols], "{name}: k={k} code={code} x={x}");
+                        }
+                        let want = reference(&w, &xt, ncols, &[0], 20, 4);
+                        for (name, got) in instantiations(&w, &xt, ncols, &[0], 20, 4) {
+                            assert_eq!(got, want, "{name}: k={k} code={code} x={x}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[cfg(feature = "parallel")]

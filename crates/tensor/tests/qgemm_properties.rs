@@ -4,6 +4,12 @@
 //! and scheduling determinism (band ≡ full product, fused batch bands ≡
 //! fused full product). The forced row-parallel schedule is pinned by an
 //! in-module test of the private parallel kernel.
+//!
+//! The random-shape suites stay small (`k ≤ 33`, a handful of columns);
+//! the `boundary` tests cover the kernel's internal edges: `k` around
+//! multiples of the 256-synapse bucket epoch, column counts around
+//! multiples of the 256-column tile (fused batches included), and the
+//! worst-case bucket sums that reach the `i16` lane's exact limit.
 
 use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, Pow2Weight};
 use mfdfp_tensor::qgemm_fused_into_i8;
@@ -174,5 +180,76 @@ proptest! {
         qgemm_fused_into_i8(&w, split, rows - split, &xt, ncols, batch, &bias[split..], 12, 4, hi)
             .unwrap();
         prop_assert_eq!(pieced, full);
+    }
+}
+
+/// The kernel's internal edges, through the public entry.
+mod boundary {
+    use super::*;
+
+    /// The kernel's bucket epoch and column tile width.
+    const EPOCH: usize = 256;
+    const TILE: usize = 256;
+
+    /// `k` on both sides of one, two and three bucket epochs.
+    const KS: [usize; 7] =
+        [EPOCH - 1, EPOCH, EPOCH + 1, 2 * EPOCH - 1, 2 * EPOCH, 2 * EPOCH + 1, 800];
+
+    /// Fused column counts on both sides of one and two tiles, each with
+    /// the largest batch (≤ 8) that divides it: `(ncols_per_image, batch)`.
+    const COLUMNS: [(usize, usize); 5] =
+        [(1, 1), ((TILE - 1) / 3, 3), (TILE / 8, 8), (TILE + 1, 1), ((2 * TILE + 3) / 5, 5)];
+
+    #[test]
+    fn epoch_and_tile_edges_match_decode_oracle() {
+        for k in KS {
+            for (ncols, batch) in COLUMNS {
+                let width = ncols * batch;
+                let mut next = xorshift((k * 1009 + width) as u64);
+                let w = random_matrix(3, k, &mut next);
+                let xt: Vec<i8> = (0..k * width).map(|_| (next() % 256) as u8 as i8).collect();
+                let bias: Vec<i64> = (0..3).map(|_| (next() % 8192) as i64 - 4096).collect();
+                assert_eq!(
+                    product(&w, &xt, ncols, batch, &bias, 13, 4),
+                    decode_oracle(&w, &xt, width, &bias, 13, 4),
+                    "k={k} ncols={ncols} batch={batch}"
+                );
+            }
+        }
+    }
+
+    /// Every synapse on one weight code and every activation on one rail:
+    /// with `x = -128` one bucket per epoch sums to exactly -32768, the
+    /// `i16` lane's minimum; with `x = 127`, to 32512. All 16 codes cover
+    /// both signs and every shift. A bias that cancels the exact
+    /// accumulator leaves the routed offset 5, so any lost bit shows; the
+    /// same inputs also route un-cancelled against the oracle.
+    #[test]
+    fn worst_case_buckets_match_decode_oracle() {
+        for k in [EPOCH, EPOCH + 1, 2 * EPOCH, 800] {
+            for (ncols, batch) in [(1, 1), (TILE + 1, 1), ((2 * TILE + 3) / 5, 5)] {
+                let width = ncols * batch;
+                for code in 0..16u8 {
+                    let wgt = Pow2Weight::decode4(code).unwrap();
+                    let w = PackedPow2Matrix::from_weights(2, k, &vec![wgt; 2 * k]).unwrap();
+                    for x in [-128i8, 127] {
+                        let xt = vec![x; k * width];
+                        let exact = k as i64 * wgt.mul_shift(x as i32) as i64;
+                        let cancel = [5 - exact, 5 - exact];
+                        let case = format!("k={k} width={width} code={code} x={x}");
+                        assert_eq!(
+                            product(&w, &xt, ncols, batch, &cancel, 7, 7),
+                            vec![5; 2 * width],
+                            "{case}"
+                        );
+                        assert_eq!(
+                            product(&w, &xt, ncols, batch, &[0, -7], 20, 4),
+                            decode_oracle(&w, &xt, width, &[0, -7], 20, 4),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
